@@ -70,16 +70,28 @@ class Violation:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """What every checker returns.  `violation` is the first witness;
+    checkers that scan several deviations of one instance (robustness,
+    strategyproofness) also list every witness they found in
+    `violations`."""
+
     status: str
     violation: Optional[Violation] = None
     detail: dict = field(default_factory=dict)
+    violations: tuple[Violation, ...] = ()
 
     @property
     def ok(self) -> bool:
         return self.status in (PASS, VACUOUS, SATISFIED)
 
 
-def check_robustness(f: RuleFn, p: Profile) -> list[Violation]:
+def _scan_result(violations: list[Violation]) -> CheckResult:
+    if not violations:
+        return CheckResult(PASS)
+    return CheckResult(VIOLATION, violations[0], violations=tuple(violations))
+
+
+def check_robustness(f: RuleFn, p: Profile) -> CheckResult:
     """Deleting a voter's extreme alternative must keep the winner or
     move it one step inward from that extreme."""
     violations = []
@@ -109,7 +121,7 @@ def check_robustness(f: RuleFn, p: Profile) -> list[Violation]:
                     "deleted endpoint",
                 )
             )
-    return violations
+    return _scan_result(violations)
 
 
 def check_reinforcement(f: RuleFn, p1: Profile, p2: Profile) -> CheckResult:
@@ -285,7 +297,7 @@ def check_right_biased_continuity(
 
 def check_strategyproofness(
     f: RuleFn, p: Profile, voter: VoterId, guard: int = 5
-) -> list[Violation]:
+) -> CheckResult:
     """No misreport may strictly improve the outcome for any weakly
     single-peaked preference whose plateau is the voter's interval."""
     truth = p.interval(voter)
@@ -313,7 +325,7 @@ def check_strategyproofness(
                         required="honest outcome weakly preferred",
                     )
                 )
-    return violations
+    return _scan_result(violations)
 
 
 def _uncompromising_condition(
@@ -427,58 +439,49 @@ def replay_violation(f: RuleFn, violation: dict) -> bool:
     """Re-run a serialized violation against `f`; True iff it reproduces."""
     axiom = violation["axiom"]
     witness = violation["witness"]
-    if axiom == "robustness":
-        p = Profile.from_json(witness["profile"])
-        voter, side = witness["voter"], witness["side"]
-        return any(
-            v.witness["voter"] == voter and v.witness["side"] == side
-            for v in check_robustness(f, p)
-        )
     if axiom == "reinforcement":
         p1 = Profile.from_json(witness["profile1"])
         p2 = Profile.from_json(witness["profile2"])
         return check_reinforcement(f, p1, p2).status == VIOLATION
-    if axiom == "unanimity":
-        p = Profile.from_json(witness["profile"])
-        j = p.interval(next(iter(p.voters))).left
-        return check_unanimity(f, p.m, j, n_max=p.n).status == VIOLATION
-    if axiom == "strong-unanimity":
-        p = Profile.from_json(witness["profile"])
-        return check_strong_unanimity(f, p).status == VIOLATION
-    if axiom == "majority-criterion":
-        p = Profile.from_json(witness["profile"])
-        return check_majority_criterion(f, p).status == VIOLATION
-    if axiom == "weak-efficiency":
-        p = Profile.from_json(witness["profile"])
-        return check_weak_efficiency(f, p).status == VIOLATION
-    if axiom == "anonymity":
-        p = Profile.from_json(witness["profile"])
-        perm = {old: new for old, new in witness["permutation"]}
-        return check_anonymity(f, p, perm).status == VIOLATION
+    if "profile" not in witness:
+        raise VotingError(f"cannot replay {axiom!r}: witness has no profile")
+    p = Profile.from_json(witness["profile"])
+    if axiom == "robustness":
+        voter, side = witness["voter"], witness["side"]
+        return any(
+            v.witness["voter"] == voter and v.witness["side"] == side
+            for v in check_robustness(f, p).violations
+        )
     if axiom == "strategyproofness":
-        p = Profile.from_json(witness["profile"])
-        voter = witness["voter"]
+        # the witness names one preference; evaluate it directly rather
+        # than re-enumerating every order the checker scans
         report = Interval(*witness["report"])
         pref = WeakOrder(
             p.m, tuple(frozenset(cls) for cls in witness["preference"])
         )
         honest = f(p)
-        outcome = f(p.with_interval(voter, report))
+        outcome = f(p.with_interval(witness["voter"], report))
         return pref.strictly_prefers(outcome, honest)
-    if axiom == "strong-uncompromisingness":
-        p = Profile.from_json(witness["profile"])
+    if axiom == "unanimity":
+        j = p.interval(next(iter(p.voters))).left
+        result = check_unanimity(f, p.m, j, n_max=p.n)
+    elif axiom == "strong-unanimity":
+        result = check_strong_unanimity(f, p)
+    elif axiom == "majority-criterion":
+        result = check_majority_criterion(f, p)
+    elif axiom == "weak-efficiency":
+        result = check_weak_efficiency(f, p)
+    elif axiom == "anonymity":
+        perm = {old: new for old, new in witness["permutation"]}
+        result = check_anonymity(f, p, perm)
+    elif axiom == "strong-uncompromisingness":
         new_iv = Interval(*witness["new_interval"])
-        return (
-            check_strong_uncompromisingness(
-                f, p, witness["voter"], new_iv
-            ).status
-            == VIOLATION
-        )
-    if axiom == "shift-symmetry":
-        p = Profile.from_json(witness["profile"])
-        return check_shift_symmetry(f, p).status == VIOLATION
-    if axiom == "orientation-symmetry":
-        p = Profile.from_json(witness["profile"])
+        result = check_strong_uncompromisingness(f, p, witness["voter"], new_iv)
+    elif axiom == "shift-symmetry":
+        result = check_shift_symmetry(f, p)
+    elif axiom == "orientation-symmetry":
         rule = PositionThresholdRule.from_json(witness["rule"])
-        return check_orientation_symmetry(rule, p).status == VIOLATION
-    raise VotingError(f"cannot replay unknown axiom {axiom!r}")
+        result = check_orientation_symmetry(rule, p)
+    else:
+        raise VotingError(f"cannot replay unknown axiom {axiom!r}")
+    return result.status == VIOLATION

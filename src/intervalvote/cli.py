@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .core import Interval, Profile, VotingError, render_rational
+from .core import Interval, Profile, TooLarge, VotingError, render_rational
 from .axioms import RuleFn, replay_violation
 from .rules import (
     IncompatibleRule,
@@ -32,7 +32,7 @@ from .search import (
     AXIOM_TAGS,
     FIXTURE_TAGS,
     SearchBounds,
-    TooLarge,
+    axiom_stream,
     enumerate_profiles,
     falsify,
     fixture,
@@ -93,22 +93,27 @@ def _load_rule_fn(args, m: Optional[int] = None) -> RuleFn:
         if m is None:
             raise VotingError("--fixture requires --m")
         return fixture(tag, m, params)
-    if not getattr(args, "rule", None):
+    if not args.rule:
         raise VotingError("one of --rule or --fixture is required")
+    return RuleFn.from_ptr(_load_ptr(args))
+
+
+def _load_ptr(args) -> PositionThresholdRule:
+    if not args.rule:
+        raise VotingError("--rule is required")
     data = _load_json(args.rule)
     if args.unchecked:
         data = dict(data)
         data["unchecked"] = True
-    rule = PositionThresholdRule.from_json(data)
-    return RuleFn.from_ptr(rule)
-
-
-def _load_ptr(args) -> PositionThresholdRule:
-    data = _load_json(args.rule)
-    if getattr(args, "unchecked", False):
-        data = dict(data)
-        data["unchecked"] = True
     return PositionThresholdRule.from_json(data)
+
+
+def _bounds(args) -> SearchBounds:
+    return SearchBounds(
+        n_max=args.n_max,
+        pair_budget=args.pair_budget,
+        lambda_max=args.lambda_max,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +171,14 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _run_campaign(f: RuleFn, axiom: str, args) -> int:
-    bounds = SearchBounds(
-        m_max=f.m,
-        n_max=args.n_max,
-        pair_budget=args.pair_budget,
-        lambda_max=args.lambda_max,
-    )
-    campaign = falsify(f, axiom, bounds)
+def cmd_audit(args) -> int:
+    f = _load_rule_fn(args, m=args.m)
+    if args.replay:
+        violation = _load_json(args.replay)
+        reproduced = replay_violation(f, violation)
+        _emit({"replayed": reproduced, "axiom": violation.get("axiom")}, args.pretty)
+        return EXIT_VIOLATION if reproduced else EXIT_OK
+    campaign = falsify(f, args.axiom, _bounds(args))
     _emit(campaign.to_json(), args.pretty)
     if campaign.violation is not None:
         return EXIT_VIOLATION
@@ -182,33 +187,13 @@ def _run_campaign(f: RuleFn, axiom: str, args) -> int:
     return EXIT_OK
 
 
-def cmd_audit(args) -> int:
-    f = _load_rule_fn(args, m=args.m)
-    if args.replay:
-        violation = _load_json(args.replay)
-        reproduced = replay_violation(f, violation)
-        _emit({"replayed": reproduced, "axiom": violation.get("axiom")}, args.pretty)
-        return EXIT_VIOLATION if reproduced else EXIT_OK
-    if args.axiom not in AXIOM_TAGS:
-        raise VotingError(
-            f"unknown axiom {args.axiom!r}; choose from {', '.join(AXIOM_TAGS)}"
-        )
-    return _run_campaign(f, args.axiom, args)
-
-
 def cmd_falsify(args) -> int:
     """Scorecard over several axioms at once."""
     f = _load_rule_fn(args, m=args.m)
     tags = args.axioms.split(",") if args.axioms else list(AXIOM_TAGS)
-    for tag in tags:
-        if tag not in AXIOM_TAGS:
-            raise VotingError(f"unknown axiom {tag!r}")
-    bounds = SearchBounds(
-        m_max=f.m,
-        n_max=args.n_max,
-        pair_budget=args.pair_budget,
-        lambda_max=args.lambda_max,
-    )
+    for tag in tags:  # reject a bad tag before any campaign runs
+        axiom_stream(tag)
+    bounds = _bounds(args)
     card = {}
     worst = EXIT_OK
     for tag in tags:

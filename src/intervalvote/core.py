@@ -43,6 +43,10 @@ class MismatchedAlternatives(VotingError):
     pass
 
 
+class TooLarge(VotingError):
+    """An enumeration or search would exceed its size guard or budget."""
+
+
 def parse_rational(s) -> Fraction:
     """Parse a rational from a "p/q" string (or plain integer string)."""
     if isinstance(s, Fraction):

@@ -11,13 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Interval, VotingError
+from .core import Interval, TooLarge, VotingError
 
 DEFAULT_GUARD = 5
-
-
-class TooLarge(VotingError):
-    pass
 
 
 class NotWeaklySinglePeaked(VotingError):

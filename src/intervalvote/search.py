@@ -16,12 +16,14 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .core import (
     AnonProfile,
     Interval,
     Profile,
+    TooLarge,
+    VoterId,
     VotingError,
     canonical_intervals,
 )
@@ -56,21 +58,15 @@ BUDGET_ENV = "INTERVAL_VOTE_BUDGET"
 DEFAULT_BUDGET = 1_000_000
 
 
-class TooLarge(VotingError):
-    pass
-
-
 class UnsupportedAxiom(VotingError):
     pass
 
 
 @dataclass(frozen=True)
 class SearchBounds:
-    m_max: int = 3
     n_max: int = 3
     pair_budget: int = 5
     lambda_max: int = 1000
-    seed: int = 0
 
 
 def enumeration_budget() -> int:
@@ -137,6 +133,10 @@ def sample_vector_pairs(
     """Seeded rejection sampling of (alpha, theta) pairs by compatibility."""
     from .rules import check_compatible
 
+    if m == 2 and not compatible:
+        # check_compatible tests indices 1..m-2 only, so every pair at
+        # m = 2 is compatible and rejection sampling would never end
+        raise VotingError("no incompatible vector pair exists at m = 2")
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -271,21 +271,6 @@ class Campaign:
         }
 
 
-AXIOM_TAGS = (
-    "robustness",
-    "reinforcement",
-    "unanimity",
-    "anonymity",
-    "continuity",
-    "strategyproofness",
-    "strong-uncompromisingness",
-    "majority-criterion",
-    "strong-unanimity",
-    "weak-efficiency",
-    "shift-symmetry",
-)
-
-
 def _identified_profiles(m: int, n_max: int) -> Iterator[Profile]:
     for n in range(1, n_max + 1):
         for anon in enumerate_profiles(m, n):
@@ -302,108 +287,100 @@ def _disjoint_pairs(m: int, total_max: int) -> Iterator[tuple[Profile, Profile]]
                     yield p1, p2
 
 
+def _renamings(m: int, n_max: int) -> Iterator[tuple[Profile, dict]]:
+    for p in _identified_profiles(m, n_max):
+        ids = sorted(p.voters)
+        for perm in itertools.permutations(ids):
+            yield p, dict(zip(ids, perm))
+
+
+def _voters(m: int, n_max: int) -> Iterator[tuple[Profile, VoterId]]:
+    for p in _identified_profiles(m, n_max):
+        for voter in sorted(p.voters, key=str):
+            yield p, voter
+
+
+def _interval_changes(m: int, n_max: int) -> Iterator[tuple[Profile, VoterId, Interval]]:
+    intervals = canonical_intervals(m)
+    for p, voter in _voters(m, n_max):
+        for new_iv in intervals:
+            yield p, voter, new_iv
+
+
+# Each axiom's exhaustive instance stream, one checker result per
+# instance, in canonical order.  The streams name their checker inside
+# the generator, so it is looked up when the campaign runs, not bound
+# when this module is imported.
+AXIOMS: dict[str, Callable[[RuleFn, SearchBounds], Iterator[CheckResult]]] = {
+    "robustness": lambda f, b: (
+        check_robustness(f, p) for p in _identified_profiles(f.m, b.n_max)
+    ),
+    "reinforcement": lambda f, b: (
+        check_reinforcement(f, p1, p2)
+        for p1, p2 in _disjoint_pairs(f.m, b.pair_budget)
+    ),
+    "unanimity": lambda f, b: (
+        check_unanimity(f, f.m, j, n_max=b.n_max) for j in range(1, f.m + 1)
+    ),
+    "anonymity": lambda f, b: (
+        check_anonymity(f, p, mapping) for p, mapping in _renamings(f.m, b.n_max)
+    ),
+    "continuity": lambda f, b: (
+        check_right_biased_continuity(f, p1, p2, lambda_max=b.lambda_max)
+        for p1, p2 in _disjoint_pairs(f.m, b.pair_budget)
+    ),
+    "strategyproofness": lambda f, b: (
+        check_strategyproofness(f, p, voter) for p, voter in _voters(f.m, b.n_max)
+    ),
+    "strong-uncompromisingness": lambda f, b: (
+        check_strong_uncompromisingness(f, p, voter, new_iv)
+        for p, voter, new_iv in _interval_changes(f.m, b.n_max)
+    ),
+    "majority-criterion": lambda f, b: (
+        check_majority_criterion(f, p) for p in _identified_profiles(f.m, b.n_max)
+    ),
+    "strong-unanimity": lambda f, b: (
+        check_strong_unanimity(f, p) for p in _identified_profiles(f.m, b.n_max)
+    ),
+    "weak-efficiency": lambda f, b: (
+        check_weak_efficiency(f, p) for p in _identified_profiles(f.m, b.n_max)
+    ),
+    "shift-symmetry": lambda f, b: (
+        check_shift_symmetry(f, p) for p in _identified_profiles(f.m, b.n_max)
+    ),
+}
+
+AXIOM_TAGS = tuple(AXIOMS)
+
+
+def axiom_stream(axiom: str) -> Callable[[RuleFn, SearchBounds], Iterator[CheckResult]]:
+    """The instance stream of `axiom`; raises UnsupportedAxiom for an
+    unknown tag."""
+    if axiom not in AXIOMS:
+        raise UnsupportedAxiom(
+            f"unknown axiom {axiom!r}; choose from {', '.join(AXIOM_TAGS)}"
+        )
+    return AXIOMS[axiom]
+
+
 def falsify(f: RuleFn, axiom: str, bounds: SearchBounds) -> Campaign:
-    """Scan exhaustive instance streams for the first counterexample.
+    """Scan an exhaustive instance stream for the first counterexample.
 
     Deterministic: identical bounds and rule give the same first
     violation (canonical instance order) or the same clean result.
     """
-    if axiom not in AXIOM_TAGS:
-        raise UnsupportedAxiom(f"unknown axiom {axiom!r}")
-    m = f.m
+    stream = axiom_stream(axiom)
     campaign = Campaign(axiom=axiom)
     start = time.monotonic()
-
-    def record(result: CheckResult) -> bool:
-        """Returns True when the campaign should stop."""
+    for result in stream(f, bounds):
         campaign.checked += 1
-        if result.status == VIOLATION and campaign.violation is None:
+        if result.status == VIOLATION:
             campaign.violation = result.violation
-            return True
+            break
         if result.status == UNDETERMINED:
             campaign.undetermined += 1
             if campaign.first_undetermined is None:
                 campaign.first_undetermined = result.detail
-        return False
-
-    if axiom == "robustness":
-        for p in _identified_profiles(m, bounds.n_max):
-            campaign.checked += 1
-            found = check_robustness(f, p)
-            if found:
-                campaign.violation = found[0]
-                break
-    elif axiom == "reinforcement":
-        for p1, p2 in _disjoint_pairs(m, bounds.pair_budget):
-            if record(check_reinforcement(f, p1, p2)):
-                break
-    elif axiom == "unanimity":
-        for j in range(1, m + 1):
-            if record(check_unanimity(f, m, j, n_max=bounds.n_max)):
-                break
-    elif axiom == "anonymity":
-        for p in _identified_profiles(m, bounds.n_max):
-            ids = sorted(p.voters)
-            stop = False
-            for perm in itertools.permutations(ids):
-                mapping = dict(zip(ids, perm))
-                if record(check_anonymity(f, p, mapping)):
-                    stop = True
-                    break
-            if stop:
-                break
-    elif axiom == "continuity":
-        for p1, p2 in _disjoint_pairs(m, bounds.pair_budget):
-            if record(
-                check_right_biased_continuity(
-                    f, p1, p2, lambda_max=bounds.lambda_max
-                )
-            ):
-                break
-    elif axiom == "strategyproofness":
-        for p in _identified_profiles(m, bounds.n_max):
-            stop = False
-            for voter in sorted(p.voters, key=str):
-                campaign.checked += 1
-                found = check_strategyproofness(f, p, voter)
-                if found:
-                    campaign.violation = found[0]
-                    stop = True
-                    break
-            if stop:
-                break
-    elif axiom == "strong-uncompromisingness":
-        intervals = canonical_intervals(m)
-        for p in _identified_profiles(m, bounds.n_max):
-            stop = False
-            for voter in sorted(p.voters, key=str):
-                for new_iv in intervals:
-                    if record(
-                        check_strong_uncompromisingness(f, p, voter, new_iv)
-                    ):
-                        stop = True
-                        break
-                if stop:
-                    break
-            if stop:
-                break
-    elif axiom == "majority-criterion":
-        for p in _identified_profiles(m, bounds.n_max):
-            if record(check_majority_criterion(f, p)):
-                break
-    elif axiom == "strong-unanimity":
-        for p in _identified_profiles(m, bounds.n_max):
-            if record(check_strong_unanimity(f, p)):
-                break
-    elif axiom == "weak-efficiency":
-        for p in _identified_profiles(m, bounds.n_max):
-            if record(check_weak_efficiency(f, p)):
-                break
-    elif axiom == "shift-symmetry":
-        for p in _identified_profiles(m, bounds.n_max):
-            if record(check_shift_symmetry(f, p)):
-                break
-
     campaign.elapsed = time.monotonic() - start
     return campaign
 

@@ -24,6 +24,7 @@ from intervalvote.rules import (
     ptr_winner,
 )
 from intervalvote.axioms import (
+    PASS,
     RuleFn,
     check_majority_criterion,
     check_robustness,
@@ -81,7 +82,7 @@ def test_criterion_2_compatible_pairs_are_robust():
     for alpha, theta in pairs:
         f = RuleFn.from_ptr(PositionThresholdRule.make(alpha, theta))
         for p in profiles:
-            assert check_robustness(f, p) == [], (alpha, theta, p)
+            assert check_robustness(f, p).status == PASS, (alpha, theta, p)
             checked += 1
     report(2, f"200 compatible pairs, {checked} robustness sweeps, 0 violations")
 
@@ -93,7 +94,7 @@ def test_criterion_3_incompatible_pairs_yield_witnesses():
         found = incompatibility_witness(alpha, theta)
         assert found is not None
         f = RuleFn.from_ptr(PositionThresholdRule.make_unchecked(alpha, theta))
-        violations = check_robustness(f, found.profile)
+        violations = check_robustness(f, found.profile).violations
         assert any(
             v.witness["voter"] == found.voter and v.witness["side"] == found.side
             for v in violations
@@ -127,7 +128,7 @@ def test_criterion_5_robust_rules_are_strategyproof():
     manip_checked = unc_checked = 0
     for p in identified_profiles(3, 3):
         for voter in sorted(p.voters):
-            assert check_strategyproofness(f, p, voter) == [], (p, voter)
+            assert check_strategyproofness(f, p, voter).status == PASS, (p, voter)
             manip_checked += 1
             for new_iv in intervals:
                 result = check_strong_uncompromisingness(f, p, voter, new_iv)

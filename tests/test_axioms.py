@@ -55,7 +55,7 @@ class TestRuleFn:
 class TestRobustness:
     def test_clean_on_endpoint_median(self):
         p = Profile(4, {1: Interval(1, 2), 2: Interval(1, 3), 3: Interval(2, 4)})
-        assert check_robustness(em(4), p) == []
+        assert check_robustness(em(4), p).status == PASS
 
     def test_violation_detected_and_replayed(self):
         # rule jumping on any left-endpoint deletion of voter 1
@@ -64,9 +64,10 @@ class TestRobustness:
 
         f = RuleFn(3, jumpy, name="jumpy")
         p = Profile(3, {1: Interval(1, 3)})
-        violations = check_robustness(f, p)
-        assert len(violations) == 1
-        v = violations[0]
+        result = check_robustness(f, p)
+        assert result.status == VIOLATION
+        assert len(result.violations) == 1
+        v = result.violation
         assert v.witness["side"] == "left"
         assert replay_violation(f, v.to_json())
         assert not replay_violation(em(3), v.to_json())
@@ -76,7 +77,7 @@ class TestRobustness:
         p = Profile(2, {1: Interval(1, 2), 2: Interval(1, 2)})
         f = em(2)
         assert f(p) == 1
-        assert check_robustness(f, p) == []
+        assert check_robustness(f, p).status == PASS
 
 
 class TestReinforcement:
@@ -234,7 +235,7 @@ class TestContinuity:
 class TestStrategyproofness:
     def test_endpoint_median_clean(self):
         p = Profile(3, {1: Interval(1, 2), 2: Interval(3, 3)})
-        assert check_strategyproofness(em(3), p, 1) == []
+        assert check_strategyproofness(em(3), p, 1).status == PASS
 
     def test_manipulable_rule_caught(self):
         # incompatible weights: voter 2 drags the winner from x_3 to x_1
@@ -247,8 +248,10 @@ class TestStrategyproofness:
         p = Profile(
             3, {1: Interval(1, 3), 2: Interval(2, 2), 3: Interval(3, 3)}
         )
-        violations = check_strategyproofness(f, p, 2)
-        assert violations
+        result = check_strategyproofness(f, p, 2)
+        assert result.status == VIOLATION
+        violations = result.violations
+        assert result.violation == violations[0]
         observed = {(v.observed["honest"], v.observed["manipulated"]) for v in violations}
         assert (3, 1) in observed
         assert all(replay_violation(f, v.to_json()) for v in violations)

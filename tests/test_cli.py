@@ -139,6 +139,10 @@ class TestCompat:
 
 
 class TestDecompose:
+    def test_missing_rule(self, capsys):
+        code, _ = run(capsys, "decompose", "--left", "1", "--right", "2")
+        assert code == EXIT_PARSE
+
     def test_weights(self, capsys, files):
         rule = files(
             "r.json",
@@ -234,10 +238,18 @@ class TestAudit:
         assert code == EXIT_UNDETERMINED
 
     def test_unknown_axiom(self, capsys, em_rule):
-        code, _ = run(
-            capsys, "audit", "--rule", em_rule, "--axiom", "fairness"
-        )
+        code = main(["audit", "--rule", em_rule, "--axiom", "fairness"])
         assert code == EXIT_PARSE
+        assert "choose from robustness" in capsys.readouterr().err
+
+    def test_strategyproofness_guard_is_a_budget_exit(self, capsys, files):
+        # weak-order enumeration is capped at m <= 5
+        rule = files("m6.json", {"m": 6, "theta": ["1/2"] * 6, "alpha": ["1/2"] * 6})
+        code, _ = run(
+            capsys, "audit", "--rule", rule, "--axiom", "strategyproofness",
+            "--n-max", "1",
+        )
+        assert code == EXIT_BUDGET
 
 
 class TestFalsifyCommand:
@@ -258,6 +270,16 @@ class TestFalsifyCommand:
         card = json.loads(out)["scorecard"]
         assert card["unanimity"]["violation"] is not None
         assert card["anonymity"]["violation"] is None
+
+    def test_unknown_axiom_rejected_before_any_campaign(self, capsys):
+        # run first, the strategyproofness campaign would hit the m <= 5
+        # guard and exit with the budget code instead
+        code, out = run(
+            capsys, "falsify", "--fixture", "constant", "--m", "6",
+            "--axioms", "strategyproofness,fairness", "--n-max", "1",
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
 
 
 class TestWitnessCommand:

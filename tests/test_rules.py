@@ -31,7 +31,7 @@ from intervalvote.rules import (
     phantom_median_winner,
     ptr_winner,
 )
-from intervalvote.axioms import RuleFn, check_robustness
+from intervalvote.axioms import VIOLATION, RuleFn, check_robustness
 
 HALF = Fraction(1, 2)
 
@@ -356,7 +356,7 @@ class TestIncompatibilityWitness:
         found = incompatibility_witness(alpha, theta)
         assert found is not None
         rule = PositionThresholdRule.make_unchecked(alpha, theta)
-        violations = check_robustness(RuleFn.from_ptr(rule), found.profile)
+        violations = check_robustness(RuleFn.from_ptr(rule), found.profile).violations
         assert any(
             v.witness["voter"] == found.voter and v.witness["side"] == found.side
             for v in violations
@@ -369,7 +369,8 @@ class TestIncompatibilityWitness:
         found = incompatibility_witness(alpha, theta)
         assert found is not None
         rule = PositionThresholdRule.make_unchecked(alpha, theta)
-        assert check_robustness(RuleFn.from_ptr(rule), found.profile)
+        result = check_robustness(RuleFn.from_ptr(rule), found.profile)
+        assert result.status == VIOLATION
 
     def test_zero_weights_decreasing_thresholds_compatible(self):
         # flat-zero weights never violate the slope bound: the right side
@@ -390,7 +391,8 @@ class TestIncompatibilityWitness:
         assert not ok and idx == 1
         found = incompatibility_witness(alpha, theta)
         rule = PositionThresholdRule.make_unchecked(alpha, theta)
-        assert check_robustness(RuleFn.from_ptr(rule), found.profile)
+        result = check_robustness(RuleFn.from_ptr(rule), found.profile)
+        assert result.status == VIOLATION
 
     def test_witness_case_alpha_below_theta(self):
         # alpha_1 < theta_1 exercises the expand-then-shrink chain
@@ -400,5 +402,5 @@ class TestIncompatibilityWitness:
         assert not ok and idx == 1
         found = incompatibility_witness(alpha, theta)
         rule = PositionThresholdRule.make_unchecked(alpha, theta)
-        violations = check_robustness(RuleFn.from_ptr(rule), found.profile)
-        assert violations
+        result = check_robustness(RuleFn.from_ptr(rule), found.profile)
+        assert result.status == VIOLATION

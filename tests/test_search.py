@@ -1,5 +1,6 @@
 """Enumeration, sampling, falsification campaigns, witness generators."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intervalvote.core import Interval, Profile, anonymize
+from intervalvote.core import Interval, Profile, VotingError, anonymize
 from intervalvote.rules import (
     PositionThresholdRule,
     ThresholdVector,
@@ -104,10 +105,15 @@ class TestVectorSampling:
         b = sample_vector_pairs(3, 5, seed=9, compatible=True)
         assert a == b
 
+    def test_no_incompatible_pair_at_two_alternatives(self):
+        # every pair is compatible at m = 2; rejection sampling used to spin
+        with pytest.raises(VotingError):
+            sample_vector_pairs(2, 1, 0, compatible=False)
+
 
 class TestFalsify:
     def test_unknown_axiom(self):
-        with pytest.raises(UnsupportedAxiom):
+        with pytest.raises(UnsupportedAxiom, match="choose from robustness"):
             falsify(fixture("constant", 2), "transitivity", SearchBounds())
 
     def test_endpoint_median_clean_sweep(self):
@@ -137,6 +143,67 @@ class TestFalsify:
         campaign = falsify(f, "reinforcement", SearchBounds(n_max=3, pair_budget=4))
         assert campaign.violation is not None
         assert replay_violation(f, campaign.violation.to_json())
+
+
+def _skewed_weights(m=3):
+    # alpha = (3/4, 1/4, 1/4) fails the compatibility test at index 1
+    return RuleFn.from_ptr(
+        PositionThresholdRule.make_unchecked(
+            WeightVector(m, (Fraction(3, 4), Fraction(1, 4), Fraction(1, 4))),
+            ThresholdVector.constant(m, HALF),
+        )
+    )
+
+
+def _low_first_weight(m=3):
+    # compatible, with alpha_1 < 1/2 <= alpha_2 and alpha_{m-1} = 1
+    return RuleFn.from_ptr(
+        PositionThresholdRule.make(
+            WeightVector(m, (Fraction(1, 4), Fraction(1), Fraction(1))),
+            ThresholdVector.constant(m, HALF),
+        )
+    )
+
+
+# a rule known to violate each axiom except continuity, whose checker
+# never reports a violation
+VIOLATORS = {
+    "robustness": _skewed_weights,
+    "strategyproofness": _skewed_weights,
+    "strong-uncompromisingness": _skewed_weights,
+    "unanimity": lambda: fixture("constant", 3),
+    "majority-criterion": lambda: fixture("constant", 3),
+    "weak-efficiency": lambda: fixture("constant", 3),
+    "reinforcement": lambda: fixture("log-parity", 3),
+    "anonymity": lambda: fixture("even-voter-doubled", 3),
+    "shift-symmetry": _low_first_weight,
+    "strong-unanimity": _low_first_weight,
+}
+
+
+class TestAxiomRegistry:
+    BOUNDS = SearchBounds(n_max=3, pair_budget=3, lambda_max=10)
+
+    def test_violators_cover_the_registry(self):
+        assert set(VIOLATORS) == set(AXIOM_TAGS) - {"continuity"}
+
+    @pytest.mark.parametrize("axiom", sorted(VIOLATORS))
+    def test_violation_round_trips(self, axiom):
+        f = VIOLATORS[axiom]()
+        campaign = falsify(f, axiom, self.BOUNDS)
+        assert campaign.violation is not None
+        witness = json.loads(json.dumps(campaign.violation.to_json()))
+        assert witness["axiom"] == axiom
+        assert replay_violation(f, witness)
+        assert not replay_violation(RuleFn.from_ptr(endpoint_median_rule(3)), witness)
+
+    def test_continuity_never_reports_a_violation(self):
+        undetermined = 0
+        for f in [fixture(tag, 3) for tag in FIXTURE_TAGS] + [_skewed_weights()]:
+            campaign = falsify(f, "continuity", self.BOUNDS)
+            assert campaign.violation is None, f.name
+            undetermined += campaign.undetermined
+        assert undetermined > 0  # the strict-threshold fixture is caught
 
 
 class TestFixtures:
