@@ -18,11 +18,12 @@ from .core import (
     VotingError,
     canonical_intervals,
     combine,
+    decoding,
     delete_endpoint,
     replicate,
 )
 from .preferences import WeakOrder, enumerate_wsp_with_plateau
-from .rules import PositionThresholdRule, collective_position
+from .rules import PositionThresholdRule, collective_positions
 
 PASS = "pass"
 VACUOUS = "vacuous"
@@ -410,8 +411,9 @@ def check_orientation_symmetry(
     met threshold) is not observable from winners alone.
     """
     n = p.n
-    for i in range(1, rule.m + 1):
-        if collective_position(rule.alpha, p, i) == rule.theta.theta[i - 1] * n:
+    positions = collective_positions(rule.alpha, p)
+    for i, (pos, t) in enumerate(zip(positions, rule.theta.theta), 1):
+        if pos == t * n:
             return CheckResult(VACUOUS, detail={"tied_alternative": i})
     mirrored = Profile(
         p.m,
@@ -436,52 +438,69 @@ def check_orientation_symmetry(
 
 
 def replay_violation(f: RuleFn, violation: dict) -> bool:
-    """Re-run a serialized violation against `f`; True iff it reproduces."""
+    """Re-run a serialized violation against `f`; True iff it reproduces.
+
+    A witness that does not decode raises VotingError.
+    """
+    with decoding("violation"):
+        replay = _decode_replay(f, violation)
+    return replay()
+
+
+def _decode_replay(f: RuleFn, violation: dict) -> Callable[[], bool]:
+    """Decode every field of a serialized violation up front and return
+    the check that replays it, so that malformed input fails here rather
+    than inside a checker."""
     axiom = violation["axiom"]
     witness = violation["witness"]
     if axiom == "reinforcement":
         p1 = Profile.from_json(witness["profile1"])
         p2 = Profile.from_json(witness["profile2"])
-        return check_reinforcement(f, p1, p2).status == VIOLATION
+        return lambda: check_reinforcement(f, p1, p2).status == VIOLATION
     if "profile" not in witness:
         raise VotingError(f"cannot replay {axiom!r}: witness has no profile")
     p = Profile.from_json(witness["profile"])
     if axiom == "robustness":
         voter, side = witness["voter"], witness["side"]
-        return any(
+        return lambda: any(
             v.witness["voter"] == voter and v.witness["side"] == side
             for v in check_robustness(f, p).violations
         )
     if axiom == "strategyproofness":
         # the witness names one preference; evaluate it directly rather
         # than re-enumerating every order the checker scans
-        report = Interval(*witness["report"])
+        deviated = p.with_interval(witness["voter"], Interval(*witness["report"]))
         pref = WeakOrder(
             p.m, tuple(frozenset(cls) for cls in witness["preference"])
         )
-        honest = f(p)
-        outcome = f(p.with_interval(witness["voter"], report))
-        return pref.strictly_prefers(outcome, honest)
+
+        def manipulates() -> bool:
+            honest = f(p)
+            return pref.strictly_prefers(f(deviated), honest)
+
+        return manipulates
     if axiom == "unanimity":
         j = p.interval(next(iter(p.voters))).left
-        result = check_unanimity(f, p.m, j, n_max=p.n)
+        check = lambda: check_unanimity(f, p.m, j, n_max=p.n)
     elif axiom == "strong-unanimity":
-        result = check_strong_unanimity(f, p)
+        check = lambda: check_strong_unanimity(f, p)
     elif axiom == "majority-criterion":
-        result = check_majority_criterion(f, p)
+        check = lambda: check_majority_criterion(f, p)
     elif axiom == "weak-efficiency":
-        result = check_weak_efficiency(f, p)
+        check = lambda: check_weak_efficiency(f, p)
     elif axiom == "anonymity":
         perm = {old: new for old, new in witness["permutation"]}
-        result = check_anonymity(f, p, perm)
+        check = lambda: check_anonymity(f, p, perm)
     elif axiom == "strong-uncompromisingness":
+        voter = witness["voter"]
+        p.interval(voter)  # an unknown or unhashable id fails while decoding
         new_iv = Interval(*witness["new_interval"])
-        result = check_strong_uncompromisingness(f, p, witness["voter"], new_iv)
+        check = lambda: check_strong_uncompromisingness(f, p, voter, new_iv)
     elif axiom == "shift-symmetry":
-        result = check_shift_symmetry(f, p)
+        check = lambda: check_shift_symmetry(f, p)
     elif axiom == "orientation-symmetry":
         rule = PositionThresholdRule.from_json(witness["rule"])
-        result = check_orientation_symmetry(rule, p)
+        check = lambda: check_orientation_symmetry(rule, p)
     else:
         raise VotingError(f"cannot replay unknown axiom {axiom!r}")
-    return result.status == VIOLATION
+    return lambda: check().status == VIOLATION

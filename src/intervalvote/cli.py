@@ -19,14 +19,13 @@ from .axioms import RuleFn, replay_violation
 from .rules import (
     IncompatibleRule,
     PositionThresholdRule,
-    ThresholdVector,
-    WeightVector,
     check_compatible,
     decompose_interval,
     endpoint_median_oracle,
     endpoint_median_rule,
     incompatibility_witness,
-    collective_position,
+    collective_positions,
+    vectors_from_json,
 )
 from .search import (
     AXIOM_TAGS,
@@ -103,8 +102,7 @@ def _load_ptr(args) -> PositionThresholdRule:
         raise VotingError("--rule is required")
     data = _load_json(args.rule)
     if args.unchecked:
-        data = dict(data)
-        data["unchecked"] = True
+        return PositionThresholdRule.make_unchecked(*vectors_from_json(data))
     return PositionThresholdRule.from_json(data)
 
 
@@ -128,10 +126,7 @@ def cmd_winner(args) -> int:
         return EXIT_OK
     rule = _load_ptr(args)
     winner = rule.winner(p)
-    positions = [
-        render_rational(collective_position(rule.alpha, p, k))
-        for k in range(1, rule.m + 1)
-    ]
+    positions = [render_rational(x) for x in collective_positions(rule.alpha, p)]
     scaled = [render_rational(t * p.n) for t in rule.theta.theta]
     _emit(
         {"winner": winner, "positions": positions, "thresholds_scaled": scaled},
@@ -141,10 +136,7 @@ def cmd_winner(args) -> int:
 
 
 def cmd_compat(args) -> int:
-    data = _load_json(args.rule)
-    m = int(data["m"])
-    alpha = WeightVector(m, tuple(data["alpha"]))
-    theta = ThresholdVector(m, tuple(data["theta"]))
+    alpha, theta = vectors_from_json(_load_json(args.rule))
     ok, idx = check_compatible(alpha, theta)
     _emit({"compatible": ok, "violating_index": idx}, args.pretty)
     return EXIT_OK if ok else EXIT_VIOLATION
@@ -208,10 +200,7 @@ def cmd_falsify(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    data = _load_json(args.rule)
-    m = int(data["m"])
-    alpha = WeightVector(m, tuple(data["alpha"]))
-    theta = ThresholdVector(m, tuple(data["theta"]))
+    alpha, theta = vectors_from_json(_load_json(args.rule))
     if args.kind == "compat":
         found = incompatibility_witness(alpha, theta)
         if found is None:

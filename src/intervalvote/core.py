@@ -3,14 +3,16 @@
 Alternatives are 1-based indices into the fixed left-to-right order, so
 x_a is left of x_b exactly when a < b and the "left-most" element of a
 set is its minimum index.  All scalars that enter winner comparisons are
-`fractions.Fraction`; no floats appear anywhere in rule evaluation.
+integers or `fractions.Fraction`; no floats appear anywhere in rule
+evaluation.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 VoterId = Union[int, str]
 
@@ -47,20 +49,38 @@ class TooLarge(VotingError):
     """An enumeration or search would exceed its size guard or budget."""
 
 
+@contextmanager
+def decoding(what: str) -> Iterator[None]:
+    """Report malformed input read inside the block as a VotingError.
+
+    A KeyError, TypeError or ValueError raised while `what` is decoded
+    means its JSON has the wrong shape; a VotingError passes through
+    unchanged.
+    """
+    try:
+        yield
+    except VotingError:
+        raise
+    except KeyError as exc:
+        raise VotingError(f"malformed {what}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise VotingError(f"malformed {what}: {exc}") from exc
+
+
 def parse_rational(s) -> Fraction:
     """Parse a rational from a "p/q" string (or plain integer string)."""
     if isinstance(s, Fraction):
         return s
     if isinstance(s, int):
         return Fraction(s)
-    text = str(s).strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        d = int(den)
-        if d <= 0:
-            raise VotingError(f"denominator must be positive: {s!r}")
-        return Fraction(int(num), d)
-    return Fraction(int(text))
+    num, slash, den = str(s).strip().partition("/")
+    try:
+        p, q = int(num), int(den) if slash else 1
+    except ValueError:
+        raise VotingError(f"not an integer or 'p/q' rational: {s!r}") from None
+    if q <= 0:
+        raise VotingError(f"denominator must be positive: {s!r}")
+    return Fraction(p, q)
 
 
 def render_rational(x: Fraction) -> str:
@@ -176,14 +196,15 @@ class Profile:
 
     @classmethod
     def from_json(cls, data: dict) -> "Profile":
-        voters = {}
-        for entry in data["voters"]:
-            vid = entry["id"]
-            if vid in voters:
-                raise VotingError(f"duplicate voter id {vid!r}")
-            l, r = entry["interval"]
-            voters[vid] = Interval(int(l), int(r))
-        return cls(int(data["m"]), voters)
+        with decoding("profile"):
+            voters = {}
+            for entry in data["voters"]:
+                vid = entry["id"]
+                if vid in voters:
+                    raise VotingError(f"duplicate voter id {vid!r}")
+                l, r = entry["interval"]
+                voters[vid] = Interval(int(l), int(r))
+            return cls(int(data["m"]), voters)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,29 @@ Conventions: the winner is the smallest index i with
 Pi_alpha(profile, x_i) >= theta_i * n, compared exactly (ties count as
 satisfied).  theta_m and alpha_m are stored but never influence the
 winner since Pi_alpha(., x_m) = n and theta_m < 1.
+
+Evaluation kernel: one pass over a profile counts, per alternative, the
+voters whose left and whose right endpoint it is.  With the prefix sums
+L_k (left endpoint at or before x_k) and R_k (right endpoint at or
+before x_k) of these histograms,
+Pi_alpha(x_k) = R_k + alpha_k * (L_k - R_k).  Writing alpha_k = a/b and
+theta_k = c/d with b, d > 0, the winner test
+Pi_alpha(x_k) >= theta_k * n holds exactly when the integer comparison
+(R_k * b + a * (L_k - R_k)) * d >= c * n * b does.  A winner costs one
+pass over the voters (over the nonzero counts of an anonymized profile)
+and at most m - 1 integer comparisons, with no floats.
+`individual_position`, the endpoint-median oracle, the singleton
+decomposition and the phantom-median rule compute the same quantities
+independently of the kernel and serve as its cross-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from functools import lru_cache
+from itertools import accumulate, compress
+from typing import Callable, Iterator, Optional, Union
 
 from .core import (
     AnonProfile,
@@ -22,6 +38,8 @@ from .core import (
     Profile,
     VoterId,
     VotingError,
+    canonical_intervals,
+    decoding,
     delete_endpoint,
     parse_rational,
     render_rational,
@@ -109,17 +127,58 @@ def individual_position(alpha: WeightVector, iv: Interval, k: int) -> Fraction:
 ProfileLike = Union[Profile, AnonProfile]
 
 
+@lru_cache(maxsize=32)
+def _canonical_pairs(m: int) -> tuple[tuple[int, int], ...]:
+    """(left, right) of every canonical interval, in count-vector order."""
+    return tuple((iv.left, iv.right) for iv in canonical_intervals(m))
+
+
+def cumulative_endpoints(p: ProfileLike, m: int) -> tuple[list[int], list[int]]:
+    """L and R with L[k] (R[k]) the number of voters whose left (right)
+    endpoint is at or before x_k, for k = 0..m; one pass over `p`.
+
+    Raises InvalidAlternative when an interval reaches beyond x_m.
+    """
+    size = max(m, p.m) + 1
+    lefts, rights = [0] * size, [0] * size
+    if isinstance(p, AnonProfile):
+        counts = p.counts
+        nonzero = zip(compress(_canonical_pairs(p.m), counts), filter(None, counts))
+        for (l, r), c in nonzero:
+            lefts[l] += c
+            rights[r] += c
+    else:
+        for iv in p.voters.values():
+            lefts[iv.left] += 1
+            rights[iv.right] += 1
+    if any(rights[m + 1 :]):
+        raise InvalidAlternative(f"profile has an interval beyond m={m}")
+    return list(accumulate(lefts[: m + 1])), list(accumulate(rights[: m + 1]))
+
+
+def threshold_tests(
+    terms: tuple[tuple[int, int, int, int], ...], L: list[int], R: list[int]
+) -> Iterator[tuple[int, int]]:
+    """Yield (lhs, rhs) for x_1, x_2, ... in turn, one per `terms` entry
+    (a, b, c, d) with alpha_k = a/b and theta_k = c/d (b, d > 0):
+    Pi(x_k) >= theta_k * n exactly when lhs >= rhs.  L and R come from
+    `cumulative_endpoints`."""
+    n = L[-1]
+    for (a, b, c, d), l, r in zip(terms, L[1:], R[1:]):
+        yield (r * b + a * (l - r)) * d, c * n * b
+
+
+def collective_positions(alpha: WeightVector, p: ProfileLike) -> list[Fraction]:
+    """Pi_alpha(p, x_k) for k = 1..m from one endpoint pass, exact."""
+    L, R = cumulative_endpoints(p, alpha.m)
+    return [r + a * (l - r) for a, l, r in zip(alpha.alpha, L[1:], R[1:])]
+
+
 def collective_position(alpha: WeightVector, p: ProfileLike, k: int) -> Fraction:
     """Sum of individual positions over all voters, exact."""
-    if isinstance(p, AnonProfile):
-        total = Fraction(0)
-        for iv, c in p.items():
-            total += c * individual_position(alpha, iv, k)
-        return total
-    total = Fraction(0)
-    for iv in p.voters.values():
-        total += individual_position(alpha, iv, k)
-    return total
+    if not (1 <= k <= alpha.m):
+        raise InvalidAlternative(f"alternative {k} out of range 1..{alpha.m}")
+    return collective_positions(alpha, p)[k - 1]
 
 
 def check_compatible(
@@ -148,10 +207,20 @@ class PositionThresholdRule:
     theta: ThresholdVector
     alpha: WeightVector
     compatible: bool = field(default=True)
+    # (a, b, c, d) with alpha_k = a/b and theta_k = c/d for k = 1..m-1:
+    # the integer form of every winner test, see `threshold_tests`
+    terms: tuple[tuple[int, int, int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.theta.m != self.m or self.alpha.m != self.m:
             raise VotingError("vector lengths must match m")
+        terms = tuple(
+            (a.numerator, a.denominator, t.numerator, t.denominator)
+            for a, t in zip(self.alpha.alpha[:-1], self.theta.theta)
+        )
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def make(cls, alpha: WeightVector, theta: ThresholdVector) -> "PositionThresholdRule":
@@ -190,21 +259,27 @@ class PositionThresholdRule:
 
     @classmethod
     def from_json(cls, data: dict) -> "PositionThresholdRule":
-        m = int(data["m"])
-        theta = ThresholdVector(m, tuple(parse_rational(t) for t in data["theta"]))
-        alpha = WeightVector(m, tuple(parse_rational(a) for a in data["alpha"]))
+        alpha, theta = vectors_from_json(data)
         if data.get("unchecked"):
             return cls.make_unchecked(alpha, theta)
         return cls.make(alpha, theta)
+
+
+def vectors_from_json(data: dict) -> tuple[WeightVector, ThresholdVector]:
+    """The weight and threshold vectors of a rule file's JSON object."""
+    with decoding("rule"):
+        m = int(data["m"])
+        alpha = WeightVector(m, tuple(data["alpha"]))
+        return alpha, ThresholdVector(m, tuple(data["theta"]))
 
 
 def ptr_winner(rule: PositionThresholdRule, p: ProfileLike) -> int:
     """Smallest index whose collective position meets its scaled threshold."""
     if rule.m != p.m:
         raise VotingError(f"m mismatch: rule {rule.m} vs profile {p.m}")
-    n = p.n
-    for i in range(1, rule.m):
-        if collective_position(rule.alpha, p, i) >= rule.theta.theta[i - 1] * n:
+    tests = threshold_tests(rule.terms, *cumulative_endpoints(p, rule.m))
+    for i, (lhs, rhs) in enumerate(tests, 1):
+        if lhs >= rhs:
             return i
     return rule.m  # Pi(., x_m) = n > theta_m * n always
 

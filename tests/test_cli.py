@@ -122,6 +122,35 @@ class TestWinner:
         assert a == b
 
 
+class TestMalformedInput:
+    """A file of the wrong shape is a parse failure (exit 2), never a
+    traceback or the "violation found" exit 1."""
+
+    def test_profile_without_voters(self, capsys, files, em_rule):
+        profile = files("p.json", {"m": 4})
+        code = main(["winner", "--rule", em_rule, "--profile", profile])
+        assert code == EXIT_PARSE
+        assert "missing field 'voters'" in capsys.readouterr().err
+
+    def test_one_element_interval(self, capsys, files, em_rule):
+        profile = files("p.json", {"m": 4, "voters": [{"id": 1, "interval": [1]}]})
+        code = main(["winner", "--rule", em_rule, "--profile", profile])
+        assert code == EXIT_PARSE
+        assert "malformed profile" in capsys.readouterr().err
+
+    def test_non_numeric_rational(self, capsys, files, figure_profile):
+        rule = files("r.json", {"m": 4, "theta": ["x"] + ["1/2"] * 3, "alpha": ["1"] * 4})
+        code = main(["winner", "--rule", rule, "--profile", figure_profile])
+        assert code == EXIT_PARSE
+        assert "'x'" in capsys.readouterr().err
+
+    def test_replay_witness_without_profiles(self, capsys, files, em_rule):
+        witness = files("w.json", {"axiom": "reinforcement", "witness": {}})
+        code = main(["audit", "--rule", em_rule, "--replay", witness])
+        assert code == EXIT_PARSE
+        assert "missing field 'profile1'" in capsys.readouterr().err
+
+
 class TestCompat:
     def test_compatible(self, capsys, em_rule):
         code, out = run(capsys, "compat", "--rule", em_rule)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,14 @@ class TestVectorSampling:
         a = sample_vector_pairs(3, 5, seed=9, compatible=True)
         b = sample_vector_pairs(3, 5, seed=9, compatible=True)
         assert a == b
+
+    def test_draw_budget(self):
+        # compatible pairs are rarer than 1 in 10^4 from m = 12 on
+        start = time.monotonic()
+        with pytest.raises(TooLarge):
+            sample_vector_pairs(14, 1, seed=0, compatible=True)
+        assert time.monotonic() - start < 10
+        assert len(sample_vector_pairs(14, 3, seed=0, compatible=False)) == 3
 
     def test_no_incompatible_pair_at_two_alternatives(self):
         # every pair is compatible at m = 2; rejection sampling used to spin
