@@ -20,7 +20,9 @@ from .core import (
     combine,
     decoding,
     delete_endpoint,
+    json_int,
     replicate,
+    robust_step,
 )
 from .preferences import WeakOrder, enumerate_wsp_with_plateau
 from .rules import PositionThresholdRule, collective_positions
@@ -81,10 +83,6 @@ class CheckResult:
     detail: dict = field(default_factory=dict)
     violations: tuple[Violation, ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        return self.status in (PASS, VACUOUS, SATISFIED)
-
 
 def _scan_result(violations: list[Violation]) -> CheckResult:
     if not violations:
@@ -103,11 +101,7 @@ def check_robustness(f: RuleFn, p: Profile) -> CheckResult:
             continue
         for side in ("left", "right"):
             after = f(delete_endpoint(p, voter, side))
-            if before == after:
-                continue
-            if side == "left" and before == iv.left and after == iv.left + 1:
-                continue
-            if side == "right" and before == iv.right and after == iv.right - 1:
+            if robust_step(iv, side, before, after):
                 continue
             violations.append(
                 Violation(
@@ -258,53 +252,37 @@ def check_right_biased_continuity(
     """
     if set(p1.voters) & set(p2.voters):
         raise VotingError("profiles must be voter-disjoint")
-    w1, w2 = f(p1), f(p2)
-    if w2 <= w1:
-        if w2 == w1:
-            return CheckResult(SATISFIED, detail={"case": "i", "lambda": 0})
-        for lam in range(1, lambda_max + 1):
-            scaled = replicate(p1, lam, avoid_ids=p2.voters)
-            if f(combine(scaled, p2)) == w1:
-                return CheckResult(SATISFIED, detail={"case": "i", "lambda": lam})
-        return CheckResult(
-            UNDETERMINED,
-            detail={
-                "case": "i",
-                "lambda_max": lambda_max,
-                "profile1": p1.to_json(),
-                "profile2": p2.to_json(),
-            },
-        )
-    rightmost = max(iv.right for iv in p1.voters.values())
-    if w2 <= rightmost:  # lambda = 0 already satisfies the sandwich
-        return CheckResult(SATISFIED, detail={"case": "ii", "lambda": 0, "bound": w2})
-    for lam in range(1, lambda_max + 1):
-        scaled = replicate(p1, lam, avoid_ids=p2.voters)
-        w = f(combine(scaled, p2))
-        if w1 <= w <= rightmost:
+    w1, w = f(p1), f(p2)
+    case = "i" if w <= w1 else "ii"
+    # the combined winner must land in [w1, hi]
+    hi = w1 if case == "i" else max(iv.right for iv in p1.voters.values())
+    lam = 0
+    while not w1 <= w <= hi:
+        lam += 1
+        if lam > lambda_max:
             return CheckResult(
-                SATISFIED, detail={"case": "ii", "lambda": lam, "bound": w}
+                UNDETERMINED,
+                detail={
+                    "case": case,
+                    "lambda_max": lambda_max,
+                    "profile1": p1.to_json(),
+                    "profile2": p2.to_json(),
+                },
             )
-    return CheckResult(
-        UNDETERMINED,
-        detail={
-            "case": "ii",
-            "lambda_max": lambda_max,
-            "profile1": p1.to_json(),
-            "profile2": p2.to_json(),
-        },
-    )
+        w = f(combine(replicate(p1, lam, avoid_ids=p2.voters), p2))
+    detail = {"case": case, "lambda": lam}
+    if case == "ii":
+        detail["bound"] = w
+    return CheckResult(SATISFIED, detail=detail)
 
 
-def check_strategyproofness(
-    f: RuleFn, p: Profile, voter: VoterId, guard: int = 5
-) -> CheckResult:
+def check_strategyproofness(f: RuleFn, p: Profile, voter: VoterId) -> CheckResult:
     """No misreport may strictly improve the outcome for any weakly
     single-peaked preference whose plateau is the voter's interval."""
     truth = p.interval(voter)
     honest = f(p)
     violations = []
-    orders = enumerate_wsp_with_plateau(p.m, truth, guard=guard)
+    orders = enumerate_wsp_with_plateau(p.m, truth)
     for report in canonical_intervals(p.m):
         if report == truth:
             continue
@@ -469,7 +447,8 @@ def _decode_replay(f: RuleFn, violation: dict) -> Callable[[], bool]:
     if axiom == "strategyproofness":
         # the witness names one preference; evaluate it directly rather
         # than re-enumerating every order the checker scans
-        deviated = p.with_interval(witness["voter"], Interval(*witness["report"]))
+        report = Interval(*map(json_int, witness["report"]))
+        deviated = p.with_interval(witness["voter"], report)
         pref = WeakOrder(
             p.m, tuple(frozenset(cls) for cls in witness["preference"])
         )
@@ -494,7 +473,7 @@ def _decode_replay(f: RuleFn, violation: dict) -> Callable[[], bool]:
     elif axiom == "strong-uncompromisingness":
         voter = witness["voter"]
         p.interval(voter)  # an unknown or unhashable id fails while decoding
-        new_iv = Interval(*witness["new_interval"])
+        new_iv = Interval(*map(json_int, witness["new_interval"]))
         check = lambda: check_strong_uncompromisingness(f, p, voter, new_iv)
     elif axiom == "shift-symmetry":
         check = lambda: check_shift_symmetry(f, p)

@@ -30,6 +30,7 @@ from .rules import (
 from .search import (
     AXIOM_TAGS,
     FIXTURE_TAGS,
+    Campaign,
     SearchBounds,
     axiom_stream,
     enumerate_profiles,
@@ -106,6 +107,16 @@ def _load_ptr(args) -> PositionThresholdRule:
     return PositionThresholdRule.from_json(data)
 
 
+def _campaign_exit(campaigns: list[Campaign]) -> int:
+    """1 if any campaign found a violation, else 4 if any left instances
+    undetermined, else 0."""
+    if any(c.violation is not None for c in campaigns):
+        return EXIT_VIOLATION
+    if any(c.undetermined for c in campaigns):
+        return EXIT_UNDETERMINED
+    return EXIT_OK
+
+
 def _bounds(args) -> SearchBounds:
     return SearchBounds(
         n_max=args.n_max,
@@ -172,11 +183,7 @@ def cmd_audit(args) -> int:
         return EXIT_VIOLATION if reproduced else EXIT_OK
     campaign = falsify(f, args.axiom, _bounds(args))
     _emit(campaign.to_json(), args.pretty)
-    if campaign.violation is not None:
-        return EXIT_VIOLATION
-    if campaign.undetermined:
-        return EXIT_UNDETERMINED
-    return EXIT_OK
+    return _campaign_exit([campaign])
 
 
 def cmd_falsify(args) -> int:
@@ -186,17 +193,10 @@ def cmd_falsify(args) -> int:
     for tag in tags:  # reject a bad tag before any campaign runs
         axiom_stream(tag)
     bounds = _bounds(args)
-    card = {}
-    worst = EXIT_OK
-    for tag in tags:
-        campaign = falsify(f, tag, bounds)
-        card[tag] = campaign.to_json()
-        if campaign.violation is not None:
-            worst = EXIT_VIOLATION
-        elif campaign.undetermined and worst == EXIT_OK:
-            worst = EXIT_UNDETERMINED
+    campaigns = [falsify(f, tag, bounds) for tag in tags]
+    card = {c.axiom: c.to_json() for c in campaigns}
     _emit({"rule": f.name, "scorecard": card}, args.pretty)
-    return worst
+    return _campaign_exit(campaigns)
 
 
 def cmd_witness(args) -> int:
@@ -279,9 +279,13 @@ def _add_rule_flags(sub, fixture_allowed: bool = True) -> None:
 
 def _add_campaign_flags(sub) -> None:
     sub.add_argument("--m", type=int, help="alternative count for fixture rules")
-    sub.add_argument("--n-max", type=int, default=3, dest="n_max")
-    sub.add_argument("--lambda-max", type=int, default=1000, dest="lambda_max")
-    sub.add_argument("--pair-budget", type=int, default=5, dest="pair_budget")
+    sub.add_argument("--n-max", type=int, default=SearchBounds.n_max, dest="n_max")
+    sub.add_argument(
+        "--lambda-max", type=int, default=SearchBounds.lambda_max, dest="lambda_max"
+    )
+    sub.add_argument(
+        "--pair-budget", type=int, default=SearchBounds.pair_budget, dest="pair_budget"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

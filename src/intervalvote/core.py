@@ -67,11 +67,22 @@ def decoding(what: str) -> Iterator[None]:
         raise VotingError(f"malformed {what}: {exc}") from exc
 
 
+def json_int(value) -> int:
+    """An integer read from JSON: an int or an integer string.
+
+    A float or a bool is refused with TypeError rather than truncated;
+    call it inside `decoding`, which reports that as a VotingError.
+    """
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def parse_rational(s) -> Fraction:
     """Parse a rational from a "p/q" string (or plain integer string)."""
     if isinstance(s, Fraction):
         return s
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     num, slash, den = str(s).strip().partition("/")
     try:
@@ -203,8 +214,8 @@ class Profile:
                 if vid in voters:
                     raise VotingError(f"duplicate voter id {vid!r}")
                 l, r = entry["interval"]
-                voters[vid] = Interval(int(l), int(r))
-            return cls(int(data["m"]), voters)
+                voters[vid] = Interval(json_int(l), json_int(r))
+            return cls(json_int(data["m"]), voters)
 
 
 @dataclass(frozen=True)
@@ -271,6 +282,17 @@ def delete_endpoint(p: Profile, voter: VoterId, side: str) -> Profile:
     if side == "right":
         return p.with_interval(voter, Interval(iv.left, iv.right - 1))
     raise VotingError(f"side must be 'left' or 'right', got {side!r}")
+
+
+def robust_step(iv: Interval, side: str, before: int, after: int) -> bool:
+    """Robustness for one deletion of `side`'s endpoint of `iv`: the
+    winner goes from `before` to `after` and must stay, or sit on the
+    deleted endpoint and move one step inward."""
+    if before == after:
+        return True
+    if side == "left":
+        return before == iv.left and after == iv.left + 1
+    return before == iv.right and after == iv.right - 1
 
 
 def combine(p1: Profile, p2: Profile) -> Profile:

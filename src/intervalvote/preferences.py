@@ -113,12 +113,10 @@ def enumerate_weak_orders(m: int, guard: int = DEFAULT_GUARD) -> list[WeakOrder]
     ]
 
 
-def enumerate_wsp_with_plateau(
-    m: int, plateau: Interval, guard: int = DEFAULT_GUARD
-) -> list[WeakOrder]:
+def enumerate_wsp_with_plateau(m: int, plateau: Interval) -> list[WeakOrder]:
     """All weakly single-peaked weak orders whose top class is `plateau`."""
-    if m > guard:
-        raise TooLarge(f"weak-order enumeration capped at m <= {guard}")
+    if m > DEFAULT_GUARD:
+        raise TooLarge(f"weak-order enumeration capped at m <= {DEFAULT_GUARD}")
     plateau.validate(m)
     top = frozenset(plateau.alternatives())
     rest = tuple(a for a in range(1, m + 1) if a not in top)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .core import (
     AnonProfile,
@@ -41,11 +41,16 @@ from .core import (
     canonical_intervals,
     decoding,
     delete_endpoint,
+    json_int,
     parse_rational,
     render_rational,
+    robust_step,
 )
 
 ONE_HALF = Fraction(1, 2)
+# `incompatibility_witness` builds a profile with as many voters as this
+# denominator, so it refuses larger ones
+WITNESS_MAX_DENOMINATOR = 10**6
 
 
 class IncompatibleRule(VotingError):
@@ -268,7 +273,7 @@ class PositionThresholdRule:
 def vectors_from_json(data: dict) -> tuple[WeightVector, ThresholdVector]:
     """The weight and threshold vectors of a rule file's JSON object."""
     with decoding("rule"):
-        m = int(data["m"])
+        m = json_int(data["m"])
         alpha = WeightVector(m, tuple(data["alpha"]))
         return alpha, ThresholdVector(m, tuple(data["theta"]))
 
@@ -393,10 +398,6 @@ def is_weakly_efficient_thresholds(theta: ThresholdVector) -> bool:
     return all(t == head[0] for t in head)
 
 
-def is_monotone_weights(alpha: WeightVector) -> bool:
-    return all(a <= b for a, b in zip(alpha.alpha, alpha.alpha[1:]))
-
-
 @dataclass(frozen=True)
 class RobustnessWitness:
     """A concrete endpoint deletion that breaks robustness."""
@@ -406,24 +407,8 @@ class RobustnessWitness:
     side: str
 
 
-def _single_step_robust(
-    winner_fn: Callable[[Profile], int], p: Profile, voter: VoterId, side: str
-) -> bool:
-    """Evaluate the robustness disjunction for one deletion."""
-    before = winner_fn(p)
-    after = winner_fn(delete_endpoint(p, voter, side))
-    if before == after:
-        return True
-    iv = p.interval(voter)
-    if side == "left":
-        return before == iv.left and after == iv.left + 1
-    return before == iv.right and after == iv.right - 1
-
-
 def incompatibility_witness(
-    alpha: WeightVector,
-    theta: ThresholdVector,
-    max_denominator: int = 10**6,
+    alpha: WeightVector, theta: ThresholdVector
 ) -> Optional[RobustnessWitness]:
     """Build a robustness violation for an incompatible vector pair.
 
@@ -450,10 +435,10 @@ def incompatibility_witness(
     else:
         v = (1 - t_i) / (1 - a_i)  # in (0, 1)
         mover, anchor = Interval(i, i + 2), Interval(i, i)
-    if v.denominator > max_denominator:
+    if v.denominator > WITNESS_MAX_DENOMINATOR:
         raise VotingError(
             f"witness fraction denominator {v.denominator} exceeds "
-            f"the {max_denominator} guard"
+            f"the {WITNESS_MAX_DENOMINATOR} guard"
         )
     w1 = v.numerator
     w2 = v.denominator - v.numerator
@@ -483,7 +468,9 @@ def incompatibility_witness(
             current = delete_endpoint(expanded, k, "left")
 
     for prof, voter, side in steps:
-        if not _single_step_robust(rule.winner, prof, voter, side):
+        before = rule.winner(prof)
+        after = rule.winner(delete_endpoint(prof, voter, side))
+        if not robust_step(prof.interval(voter), side, before, after):
             return RobustnessWitness(prof, voter, side)
     raise AssertionError(
         "incompatible vectors produced no robustness violation on the "

@@ -52,12 +52,15 @@ from .rules import (
     WeightVector,
     cumulative_endpoints,
     threshold_tests,
-    individual_position,
 )
 
 BUDGET_ENV = "INTERVAL_VOTE_BUDGET"
 DEFAULT_BUDGET = 1_000_000
 SAMPLE_DRAWS_PER_PAIR = 2000
+# largest denominator of a randomly drawn weight or threshold
+SAMPLE_MAX_DENOMINATOR = 12
+# largest denominator of the constant vectors `fit_fixed_rule_to_winners` scans
+FIT_MAX_DENOMINATOR = 16
 
 
 class UnsupportedAxiom(VotingError):
@@ -108,29 +111,25 @@ def random_profile(m: int, n: int, seed: int) -> Profile:
     return Profile(m, {v: rng.choice(options) for v in range(1, n + 1)})
 
 
-def random_weight_vector(m: int, rng: random.Random, max_denominator: int = 12) -> WeightVector:
+def random_weight_vector(m: int, rng: random.Random) -> WeightVector:
     vals = []
     for _ in range(m):
-        d = rng.randint(1, max_denominator)
+        d = rng.randint(1, SAMPLE_MAX_DENOMINATOR)
         vals.append(Fraction(rng.randint(0, d), d))
     return WeightVector(m, tuple(vals))
 
 
-def random_threshold_vector(m: int, rng: random.Random, max_denominator: int = 12) -> ThresholdVector:
+def random_threshold_vector(m: int, rng: random.Random) -> ThresholdVector:
     vals = []
     for _ in range(m):
-        d = rng.randint(2, max_denominator)
+        d = rng.randint(2, SAMPLE_MAX_DENOMINATOR)
         vals.append(Fraction(rng.randint(1, d - 1), d))
     vals.sort(reverse=True)
     return ThresholdVector(m, tuple(vals))
 
 
 def sample_vector_pairs(
-    m: int,
-    count: int,
-    seed: int,
-    compatible: bool,
-    max_denominator: int = 12,
+    m: int, count: int, seed: int, compatible: bool
 ) -> list[tuple[WeightVector, ThresholdVector]]:
     """Seeded rejection sampling of (alpha, theta) pairs by compatibility.
 
@@ -156,8 +155,8 @@ def sample_vector_pairs(
                 f"in {budget} draws"
             )
         draws += 1
-        alpha = random_weight_vector(m, rng, max_denominator)
-        theta = random_threshold_vector(m, rng, max_denominator)
+        alpha = random_weight_vector(m, rng)
+        theta = random_threshold_vector(m, rng)
         ok, _ = check_compatible(alpha, theta)
         if ok == compatible:
             out.append((alpha, theta))
@@ -197,21 +196,20 @@ def _strict_threshold_winner(rule: PositionThresholdRule, p: Profile) -> int:
 
 
 def _even_doubled_winner(p: Profile) -> int:
-    """Endpoint-median with ballots of even integer voter ids counted twice."""
-    weighted: list[tuple[Interval, int]] = []
+    """Endpoint-median with ballots of even integer voter ids counted twice.
+
+    With alpha = theta = 1/2, Pi(x_k) >= n/2 over the n doubled ballots
+    is L_k + R_k >= n in integers.
+    """
+    ballots: list[Interval] = []
     for voter, iv in p.voters.items():
         try:
             weight = 2 if int(voter) % 2 == 0 else 1
         except (TypeError, ValueError):
             weight = 1
-        weighted.append((iv, weight))
-    total = sum(w for _, w in weighted)
-    half = WeightVector.constant(p.m, ONE_HALF)
-    for i in range(1, p.m + 1):
-        pos = sum(w * individual_position(half, iv, i) for iv, w in weighted)
-        if pos >= Fraction(total, 2):
-            return i
-    raise AssertionError("unreachable")
+        ballots += [iv] * weight
+    L, R = cumulative_endpoints(Profile(p.m, dict(enumerate(ballots))), p.m)
+    return next(k for k in range(1, p.m + 1) if L[k] + R[k] >= len(ballots))
 
 
 def _profile_dependent_alpha_winner(p: Profile) -> int:
@@ -510,9 +508,7 @@ def fixed_rule_infeasible_for_triple(
 
 
 def fit_fixed_rule_to_winners(
-    m: int,
-    observations: list[tuple[Profile, int]],
-    max_denominator: int = 16,
+    m: int, observations: list[tuple[Profile, int]]
 ) -> Optional[PositionThresholdRule]:
     """Brute-force search for a fixed-vector rule matching all observed
     winners; None when the grid is exhausted.  Only constant vectors are
@@ -520,7 +516,7 @@ def fit_fixed_rule_to_winners(
     values = sorted(
         {
             Fraction(num, den)
-            for den in range(1, max_denominator + 1)
+            for den in range(1, FIT_MAX_DENOMINATOR + 1)
             for num in range(0, den + 1)
         }
     )

@@ -1,10 +1,17 @@
 """Axiom checkers on hand-built instances and known counterexample rules."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from intervalvote.core import Interval, Profile, VotingError
+from intervalvote.core import (
+    Interval,
+    Profile,
+    VotingError,
+    canonical_intervals,
+    delete_endpoint,
+)
 from intervalvote.rules import (
     PositionThresholdRule,
     ThresholdVector,
@@ -39,6 +46,17 @@ HALF = Fraction(1, 2)
 
 def em(m):
     return RuleFn.from_ptr(endpoint_median_rule(m))
+
+
+def recorded(f):
+    """`f` plus the list of profiles it is called on, in call order."""
+    calls = []
+
+    def fn(p):
+        calls.append(p)
+        return f(p)
+
+    return RuleFn(f.m, fn, name=f.name), calls
 
 
 class TestRuleFn:
@@ -78,6 +96,39 @@ class TestRobustness:
         f = em(2)
         assert f(p) == 1
         assert check_robustness(f, p).status == PASS
+
+    def test_verdict_is_the_disjunction_for_every_step(self):
+        # one voter, m <= 4: a rule electing `before` on the profile and
+        # `after` once `side`'s endpoint is deleted (the other deletion
+        # keeps `before`) is flagged exactly when the disjunction fails
+        for m in (2, 3, 4):
+            for iv in canonical_intervals(m):
+                if iv.is_singleton():
+                    continue
+                p = Profile(m, {1: iv})
+                for side, before, after in itertools.product(
+                    ("left", "right"), range(1, m + 1), range(1, m + 1)
+                ):
+                    deleted = delete_endpoint(p, 1, side).interval(1)
+                    f = RuleFn(
+                        m, lambda q: after if q.interval(1) == deleted else before
+                    )
+                    holds = (
+                        before == after
+                        or (side == "left" and before == iv.left and after == iv.left + 1)
+                        or (side == "right" and before == iv.right and after == iv.right - 1)
+                    )
+                    result = check_robustness(f, p)
+                    if holds:
+                        assert result.status == PASS
+                    else:
+                        assert result.status == VIOLATION
+                        assert len(result.violations) == 1
+                        assert result.violation.witness["side"] == side
+                        assert result.violation.observed == {
+                            "before": before,
+                            "after": after,
+                        }
 
 
 class TestReinforcement:
@@ -188,19 +239,26 @@ class TestAnonymity:
 
 
 class TestContinuity:
+    """Full `detail` and the profile sizes the rule is called on, in
+    order: p1, p2, then p1 replicated lambda = 1, 2, ... times plus p2."""
+
     def test_case_i_tie_needs_no_replication(self):
         p1 = Profile(2, {1: Interval(1, 1)})
         p2 = Profile(2, {2: Interval(1, 2)})
-        result = check_right_biased_continuity(em(2), p1, p2)
+        f, calls = recorded(em(2))
+        result = check_right_biased_continuity(f, p1, p2)
         assert result.status == SATISFIED
         assert result.detail == {"case": "i", "lambda": 0}
+        assert [q.n for q in calls] == [1, 1]
 
     def test_case_i_replication_flips(self):
         p1 = Profile(2, {1: Interval(2, 2)})
         p2 = Profile(2, {2: Interval(1, 1)})
-        result = check_right_biased_continuity(em(2), p1, p2)
+        f, calls = recorded(em(2))
+        result = check_right_biased_continuity(f, p1, p2)
         assert result.status == SATISFIED
-        assert result.detail["case"] == "i" and result.detail["lambda"] >= 1
+        assert result.detail == {"case": "i", "lambda": 2}
+        assert [q.n for q in calls] == [1, 1, 2, 3]
 
     def test_case_i_factor_two(self):
         # one copy of p1 ties at x_1; the second copy tips it to x_2
@@ -210,12 +268,24 @@ class TestContinuity:
         assert result.status == SATISFIED
         assert result.detail == {"case": "i", "lambda": 2}
 
+    def test_case_ii_sandwich_without_replication(self):
+        # f(p2) = x_2 already lies between f(p1) = x_1 and p1's x_3
+        p1 = Profile(3, {1: Interval(1, 3)})
+        p2 = Profile(3, {2: Interval(2, 2)})
+        f, calls = recorded(em(3))
+        result = check_right_biased_continuity(f, p1, p2)
+        assert result.status == SATISFIED
+        assert result.detail == {"case": "ii", "lambda": 0, "bound": 2}
+        assert [q.n for q in calls] == [1, 1]
+
     def test_case_ii_sandwich(self):
         p1 = Profile(3, {1: Interval(1, 2)})
         p2 = Profile(3, {2: Interval(3, 3)})
-        result = check_right_biased_continuity(em(3), p1, p2)
+        f, calls = recorded(em(3))
+        result = check_right_biased_continuity(f, p1, p2)
         assert result.status == SATISFIED
-        assert result.detail["case"] == "ii"
+        assert result.detail == {"case": "ii", "lambda": 1, "bound": 2}
+        assert [q.n for q in calls] == [1, 1, 2]
 
     def test_strict_threshold_fixture_undetermined(self):
         # Pi > theta*n tie-breaking defeats case (i) for every factor
@@ -223,8 +293,31 @@ class TestContinuity:
         p1 = Profile(2, {1: Interval(1, 1), 2: Interval(2, 2)})
         p2 = Profile(2, {3: Interval(1, 1)})
         assert f(p1) == 2 and f(p2) == 1
+        f, calls = recorded(f)
         result = check_right_biased_continuity(f, p1, p2, lambda_max=50)
         assert result.status == UNDETERMINED
+        assert result.detail == {
+            "case": "i",
+            "lambda_max": 50,
+            "profile1": p1.to_json(),
+            "profile2": p2.to_json(),
+        }
+        assert [q.n for q in calls] == [2, 1] + [2 * lam + 1 for lam in range(1, 51)]
+
+    def test_case_ii_exhausted_is_undetermined(self):
+        # x_1 on p1 alone, x_3 as soon as p2's voter is present
+        p1 = Profile(3, {1: Interval(1, 1)})
+        p2 = Profile(3, {2: Interval(3, 3)})
+        f, calls = recorded(RuleFn(3, lambda q: 3 if 2 in q.voters else 1))
+        result = check_right_biased_continuity(f, p1, p2, lambda_max=3)
+        assert result.status == UNDETERMINED
+        assert result.detail == {
+            "case": "ii",
+            "lambda_max": 3,
+            "profile1": p1.to_json(),
+            "profile2": p2.to_json(),
+        }
+        assert [q.n for q in calls] == [1, 1, 2, 3, 4]
 
     def test_disjointness_required(self):
         p = Profile(2, {1: Interval(1, 1)})

@@ -144,6 +144,39 @@ class TestMalformedInput:
         assert code == EXIT_PARSE
         assert "'x'" in capsys.readouterr().err
 
+    def test_fractional_profile_m(self, capsys, files, em_rule):
+        profile = files("p.json", {"m": 3.9, "voters": [{"id": 1, "interval": [1, 2]}]})
+        code = main(["winner", "--rule", em_rule, "--profile", profile])
+        assert code == EXIT_PARSE
+        assert "error: malformed profile: expected an integer, got 3.9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("endpoint", [1.7, True])
+    def test_non_integer_interval_endpoint(self, capsys, files, em_rule, endpoint):
+        profile = files("p.json", {"m": 4, "voters": [{"id": 1, "interval": [endpoint, 2]}]})
+        code = main(["winner", "--rule", em_rule, "--profile", profile])
+        assert code == EXIT_PARSE
+        assert "error: malformed profile: expected an integer" in capsys.readouterr().err
+
+    def test_fractional_rule_m(self, capsys, files):
+        rule = files("r.json", {"m": 3.5, "theta": ["1/2"] * 3, "alpha": ["1/2"] * 3})
+        code = main(["compat", "--rule", rule])
+        assert code == EXIT_PARSE
+        assert "error: malformed rule: expected an integer, got 3.5" in capsys.readouterr().err
+
+    def test_fractional_replay_report(self, capsys, files, em_rule):
+        witness = files("w.json", {
+            "axiom": "strategyproofness",
+            "witness": {
+                "profile": {"m": 4, "voters": [{"id": 1, "interval": [1, 2]}]},
+                "voter": 1,
+                "preference": [[1, 2], [3], [4]],
+                "report": [1.5, 2],
+            },
+        })
+        code = main(["audit", "--rule", em_rule, "--replay", witness])
+        assert code == EXIT_PARSE
+        assert "error: malformed violation: expected an integer, got 1.5" in capsys.readouterr().err
+
     def test_replay_witness_without_profiles(self, capsys, files, em_rule):
         witness = files("w.json", {"axiom": "reinforcement", "witness": {}})
         code = main(["audit", "--rule", em_rule, "--replay", witness])

@@ -1,5 +1,6 @@
 """Domain primitives: intervals, profiles, anonymization, rationals."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from intervalvote.core import (
     parse_rational,
     render_rational,
     replicate,
+    robust_step,
 )
 
 rationals = st.fractions(
@@ -61,6 +63,11 @@ class TestRationals:
             parse_rational("1/0")
         with pytest.raises(VotingError):
             parse_rational("1/-2")
+
+    @pytest.mark.parametrize("value", [True, False, 0.5])
+    def test_json_bool_and_float_rejected(self, value):
+        with pytest.raises(VotingError):
+            parse_rational(value)
 
 
 class TestInterval:
@@ -188,6 +195,21 @@ class TestDeleteEndpoint:
         p = Profile(4, {1: Interval(2, 4)})
         with pytest.raises(VotingError):
             delete_endpoint(p, 1, "middle")
+
+    def test_robust_step_is_the_robustness_disjunction(self):
+        # every interval, side and winner pair for m <= 4, against the
+        # disjunction as the paper states it
+        for m in (2, 3, 4):
+            for iv in canonical_intervals(m):
+                for side, before, after in itertools.product(
+                    ("left", "right"), range(1, m + 1), range(1, m + 1)
+                ):
+                    expected = (
+                        before == after
+                        or (side == "left" and before == iv.left and after == iv.left + 1)
+                        or (side == "right" and before == iv.right and after == iv.right - 1)
+                    )
+                    assert robust_step(iv, side, before, after) == expected
 
 
 class TestCombineReplicate:

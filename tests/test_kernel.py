@@ -9,7 +9,7 @@ rule.
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from intervalvote import rules, search
@@ -223,6 +223,50 @@ class TestFixturesAgainstDefinition:
         alpha = WeightVector(m, (a1,) + (Fraction(1),) * (m - 1))
         expected = naive_winner(alpha, ThresholdVector.constant(m, ONE_HALF), p)
         assert search._profile_dependent_alpha_winner(p) == expected
+
+
+def even_doubled_definition(p: Profile) -> int:
+    """All-1/2 positions summed in `Fraction`, with the ballot of every
+    even integer (or integer-string) voter id counted twice."""
+    half = WeightVector.constant(p.m, ONE_HALF)
+    weighted = []
+    for voter, iv in p.voters.items():
+        try:
+            weight = 2 if int(voter) % 2 == 0 else 1
+        except (TypeError, ValueError):
+            weight = 1
+        weighted.append((iv, weight))
+    total = sum(w for _, w in weighted)
+    for i in range(1, p.m + 1):
+        pos = sum(w * individual_position(half, iv, i) for iv, w in weighted)
+        if pos >= Fraction(total, 2):
+            return i
+    raise AssertionError("unreachable")
+
+
+VOTER_IDS = st.one_of(
+    st.integers(-6, 12),
+    st.integers(-6, 12).map(str),
+    st.sampled_from(["a#2", "b", "3#1", "x4", "2.0"]),
+)
+
+
+@st.composite
+def mixed_id_profiles(draw):
+    m = draw(st.integers(2, 5))
+    ids = draw(st.lists(VOTER_IDS, min_size=1, max_size=8, unique=True))
+    options = canonical_intervals(m)
+    return Profile(m, {v: draw(st.sampled_from(options)) for v in ids})
+
+
+@settings(max_examples=300)
+@given(mixed_id_profiles())
+# exact ties at x_1: "4" counts twice, so L_1 + R_1 = 4 = the number of
+# doubled ballots; with integer ids and a non-numeric id
+@example(Profile(2, {"4": Interval(1, 1), 1: Interval(2, 2), 3: Interval(2, 2)}))
+@example(Profile(3, {2: Interval(1, 2), "a#2": Interval(2, 3), 5: Interval(3, 3)}))
+def test_even_doubled_winner(p):
+    assert search._even_doubled_winner(p) == even_doubled_definition(p)
 
 
 def test_cached_terms_leave_rule_identity_unchanged():
