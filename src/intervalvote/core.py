@@ -246,10 +246,10 @@ class AnonProfile:
             if c:
                 yield iv, c
 
-    def to_profile(self, first_id: int = 1) -> Profile:
-        """Identified profile with integer ids assigned in canonical order."""
+    def to_profile(self) -> Profile:
+        """Identified profile with integer ids 1..n assigned in canonical order."""
         voters = {}
-        vid = first_id
+        vid = 1
         for iv, c in self.items():
             for _ in range(c):
                 voters[vid] = iv

@@ -1,14 +1,14 @@
 """Profile generation, falsification campaigns, fixture rules, and the
 proof-derived uniqueness witnesses for the endpoint-median rule.
 
-All exhaustive sweeps run over anonymized profiles (every rule under
-study except the id-sensitive fixture is anonymous); identified profiles
-are synthesized with integer ids 1..n in canonical order where per-voter
-semantics are needed.
+Exhaustive sweeps run over identified profiles, built directly from each
+multiset of canonical intervals with integer ids in canonical order;
+`enumerate_profiles` anonymizes the same sequence.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -25,7 +25,9 @@ from .core import (
     TooLarge,
     VoterId,
     VotingError,
+    anonymize,
     canonical_intervals,
+    decoding,
 )
 from .axioms import (
     UNDETERMINED,
@@ -51,6 +53,7 @@ from .rules import (
     ThresholdVector,
     WeightVector,
     cumulative_endpoints,
+    endpoint_median_rule,
     threshold_tests,
 )
 
@@ -73,6 +76,16 @@ class SearchBounds:
     pair_budget: int = 5
     lambda_max: int = 1000
 
+    def __post_init__(self):
+        # a smaller bound would check no instance, or give up on every
+        # instance that needs replication, and still read as a clean sweep
+        if self.n_max < 1:
+            raise VotingError(f"n_max must be at least 1, got {self.n_max}")
+        if self.pair_budget < 2:
+            raise VotingError(f"pair_budget must be at least 2, got {self.pair_budget}")
+        if self.lambda_max < 0:
+            raise VotingError(f"lambda_max must be at least 0, got {self.lambda_max}")
+
 
 def enumeration_budget() -> int:
     raw = os.environ.get(BUDGET_ENV)
@@ -84,9 +97,11 @@ def profile_count(m: int, n: int) -> int:
     return math.comb(q + n - 1, n)
 
 
-def enumerate_profiles(m: int, n: int, budget: Optional[int] = None) -> Iterator[AnonProfile]:
-    """All multisets of n ballots over the canonical intervals, in
-    lexicographic order of the underlying index tuples."""
+def _profiles(
+    m: int, n: int, first_id: int = 1, budget: Optional[int] = None
+) -> Iterator[Profile]:
+    """Every multiset of n canonical intervals, in lexicographic index order,
+    as a profile whose voters first_id, first_id + 1, ... cast them."""
     if budget is None:
         budget = enumeration_budget()
     count = profile_count(m, n)
@@ -94,12 +109,13 @@ def enumerate_profiles(m: int, n: int, budget: Optional[int] = None) -> Iterator
         raise TooLarge(
             f"enumeration of {count} profiles exceeds budget {budget}"
         )
-    q = m * (m + 1) // 2
-    for combo in itertools.combinations_with_replacement(range(q), n):
-        counts = [0] * q
-        for idx in combo:
-            counts[idx] += 1
-        yield AnonProfile(m, tuple(counts))
+    for ballots in itertools.combinations_with_replacement(canonical_intervals(m), n):
+        yield Profile(m, dict(enumerate(ballots, first_id)))
+
+
+def enumerate_profiles(m: int, n: int, budget: Optional[int] = None) -> Iterator[AnonProfile]:
+    """The profiles of `_profiles(m, n)`, anonymized."""
+    return map(anonymize, _profiles(m, n, budget=budget))
 
 
 def random_profile(m: int, n: int, seed: int) -> Profile:
@@ -226,40 +242,38 @@ def _profile_dependent_alpha_winner(p: Profile) -> int:
     return p.m
 
 
-FIXTURE_TAGS = (
-    "constant",
-    "strict-threshold",
-    "log-parity",
-    "even-voter-doubled",
-    "profile-dependent-alpha",
-)
+def _constant(m: int, params: dict) -> RuleFn:
+    target = int(params.get("winner", 1))
+    return RuleFn(m, lambda p: target, name=f"constant-x{target}")
+
+
+# Each counterexample rule's builder from m and its TAG:key=value
+# parameters; each fails exactly one characterization axiom (or, for the
+# profile-dependent weights, fixed-vector representability).
+FIXTURES: dict[str, Callable[[int, dict], RuleFn]] = {
+    "constant": _constant,
+    "strict-threshold": lambda m, _: RuleFn(
+        m, functools.partial(_strict_threshold_winner, endpoint_median_rule(m)),
+        "strict-threshold",
+    ),
+    "log-parity": lambda m, _: RuleFn(m, _log_parity_winner, "log-parity"),
+    "even-voter-doubled": lambda m, _: RuleFn(m, _even_doubled_winner, "even-voter-doubled"),
+    "profile-dependent-alpha": lambda m, _: RuleFn(
+        m, _profile_dependent_alpha_winner, "profile-dependent-alpha"
+    ),
+}
+
+FIXTURE_TAGS = tuple(FIXTURES)
 
 
 def fixture(tag: str, m: int, params: Optional[dict] = None) -> RuleFn:
-    """Counterexample rules, each failing exactly one characterization
-    axiom (or, for the profile-dependent weights, fixed-vector
-    representability)."""
-    params = params or {}
-    if tag == "constant":
-        target = int(params.get("winner", 1))
-        return RuleFn(m, lambda p: target, name=f"constant-x{target}")
-    if tag == "strict-threshold":
-        rule = PositionThresholdRule.make(
-            WeightVector.constant(m, ONE_HALF),
-            ThresholdVector.constant(m, ONE_HALF),
+    """Fixture `tag` at m; VotingError for an unknown tag or a malformed parameter."""
+    if tag not in FIXTURES:
+        raise VotingError(
+            f"unknown fixture {tag!r}; choose from {', '.join(FIXTURE_TAGS)}"
         )
-        return RuleFn(
-            m, lambda p: _strict_threshold_winner(rule, p), name="strict-threshold"
-        )
-    if tag == "log-parity":
-        return RuleFn(m, _log_parity_winner, name="log-parity")
-    if tag == "even-voter-doubled":
-        return RuleFn(m, _even_doubled_winner, name="even-voter-doubled")
-    if tag == "profile-dependent-alpha":
-        return RuleFn(
-            m, _profile_dependent_alpha_winner, name="profile-dependent-alpha"
-        )
-    raise VotingError(f"unknown fixture tag {tag!r}")
+    with decoding(f"fixture {tag!r}"):
+        return FIXTURES[tag](m, params or {})
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +302,14 @@ class Campaign:
 
 def _identified_profiles(m: int, n_max: int) -> Iterator[Profile]:
     for n in range(1, n_max + 1):
-        for anon in enumerate_profiles(m, n):
-            yield anon.to_profile()
+        yield from _profiles(m, n)
 
 
 def _disjoint_pairs(m: int, total_max: int) -> Iterator[tuple[Profile, Profile]]:
     for n1 in range(1, total_max):
         for n2 in range(1, total_max - n1 + 1):
-            for a1 in enumerate_profiles(m, n1):
-                p1 = a1.to_profile()
-                for a2 in enumerate_profiles(m, n2):
-                    p2 = a2.to_profile(first_id=n1 + 1)
+            for p1 in _profiles(m, n1):
+                for p2 in _profiles(m, n2, first_id=n1 + 1):
                     yield p1, p2
 
 

@@ -116,6 +116,16 @@ class TestWinner:
         )
         assert code == EXIT_OK
 
+    def test_unchecked_rule_file(self, capsys, files, figure_profile):
+        data = {"m": 4, "theta": ["1/2"] * 4, "alpha": ["3/4", "1/4", "1/4", "1/4"]}
+        rule = files("marked.json", {**data, "unchecked": True})
+        code, out = run(capsys, "winner", "--rule", rule, "--profile", figure_profile)
+        assert code == EXIT_OK
+        assert json.loads(out)["winner"] == 1
+        rule = files("unmarked.json", data)
+        code, _ = run(capsys, "winner", "--rule", rule, "--profile", figure_profile)
+        assert code == EXIT_INCOMPATIBLE
+
     def test_byte_identical_output(self, capsys, em_rule, figure_profile):
         _, a = run(capsys, "winner", "--rule", em_rule, "--profile", figure_profile)
         _, b = run(capsys, "winner", "--rule", em_rule, "--profile", figure_profile)
@@ -182,6 +192,51 @@ class TestMalformedInput:
         code = main(["audit", "--rule", em_rule, "--replay", witness])
         assert code == EXIT_PARSE
         assert "missing field 'profile1'" in capsys.readouterr().err
+
+    def test_unknown_fixture(self, capsys):
+        code = main(["audit", "--fixture", "coin-flip", "--m", "3", "--axiom", "unanimity"])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "error: unknown fixture 'coin-flip'; choose from constant, " in err
+        assert "profile-dependent-alpha" in err
+
+    def test_fixture_without_m(self, capsys):
+        code = main(["audit", "--fixture", "constant", "--axiom", "unanimity"])
+        assert code == EXIT_PARSE
+        assert "error: --fixture requires --m" in capsys.readouterr().err
+
+    def test_neither_rule_nor_fixture(self, capsys):
+        code = main(["audit", "--m", "3", "--axiom", "unanimity"])
+        assert code == EXIT_PARSE
+        assert "error: one of --rule or --fixture is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("constant:winner", "bad fixture parameter 'winner'"),
+            ("constant:winner=first", "malformed fixture 'constant': invalid literal"),
+        ],
+    )
+    def test_bad_fixture_parameter(self, capsys, spec, message):
+        code = main(["audit", "--fixture", spec, "--m", "3", "--axiom", "unanimity"])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value, axiom",
+        [
+            ("--n-max", "0", "robustness"),
+            ("--pair-budget", "1", "reinforcement"),
+            ("--lambda-max", "-1", "continuity"),
+        ],
+    )
+    def test_campaign_bound_out_of_range(self, capsys, em_rule, flag, value, axiom):
+        code = main(["audit", "--rule", em_rule, "--axiom", axiom, flag, value])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 class TestCompat:
@@ -405,6 +460,13 @@ class TestEnumerate:
         lines = out.strip().splitlines()
         assert len(lines) == 3
         assert json.loads(lines[0]) == {"counts": [1, 0, 0]}
+
+    def test_one_alternative(self, capsys):
+        code = main(["enumerate", "--m", "1", "--n", "2"])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: need m >= 2" in captured.err
 
     def test_budget_exit(self, capsys, monkeypatch):
         monkeypatch.setenv("INTERVAL_VOTE_BUDGET", "10")

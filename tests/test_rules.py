@@ -186,6 +186,14 @@ class TestCompatibility:
         data = rule.to_json()
         assert data["theta"] == ["1/2", "1/2", "1/2"]
 
+    def test_unchecked_json_round_trip(self):
+        alpha = WeightVector(3, (Fraction(3, 4), Fraction(1, 4), Fraction(1, 4)))
+        rule = PositionThresholdRule.make_unchecked(alpha, ThresholdVector.constant(3, HALF))
+        data = rule.to_json()
+        assert data["unchecked"] is True
+        again = PositionThresholdRule.from_json(data)
+        assert again == rule and not again.compatible
+
 
 class TestWeakEfficiencyThresholds:
     def test_flat_is_efficient(self):

@@ -1,5 +1,6 @@
 """Enumeration, sampling, falsification campaigns, witness generators."""
 
+import itertools
 import json
 import math
 import time
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intervalvote.core import Interval, Profile, VotingError, anonymize
+from intervalvote.core import AnonProfile, Interval, Profile, VotingError, anonymize
 from intervalvote.rules import (
     PositionThresholdRule,
     ThresholdVector,
@@ -29,6 +30,8 @@ from intervalvote.search import (
     SearchBounds,
     TooLarge,
     UnsupportedAxiom,
+    _disjoint_pairs,
+    _identified_profiles,
     enumerate_profiles,
     falsify,
     fit_fixed_rule_to_winners,
@@ -60,6 +63,46 @@ class TestEnumeration:
     def test_budget_enforced(self):
         with pytest.raises(TooLarge):
             list(enumerate_profiles(8, 20, budget=100))
+
+    @staticmethod
+    def _reference_counts(m, n):
+        """Count vectors built one index combination at a time, and the
+        profiles they expand to below: the reference order and voter ids
+        for the enumerators."""
+        q = m * (m + 1) // 2
+        for combo in itertools.combinations_with_replacement(range(q), n):
+            counts = [0] * q
+            for idx in combo:
+                counts[idx] += 1
+            yield tuple(counts)
+
+    def _reference_profiles(self, m, n, shift=0):
+        for counts in self._reference_counts(m, n):
+            p = AnonProfile(m, counts).to_profile()
+            yield Profile(m, {v + shift: iv for v, iv in p.voters.items()})
+
+    @staticmethod
+    def _ordered(p):
+        return list(p.voters.items())  # ids and their order, not just the mapping
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_enumeration_order_is_pinned(self, m):
+        for n in (1, 2, 3):
+            got = [p.counts for p in enumerate_profiles(m, n)]
+            assert got == list(self._reference_counts(m, n))
+        expected = [
+            self._ordered(p) for n in (1, 2, 3) for p in self._reference_profiles(m, n)
+        ]
+        assert [self._ordered(p) for p in _identified_profiles(m, 3)] == expected
+        expected = [
+            (self._ordered(p1), self._ordered(p2))
+            for n1 in range(1, 4)
+            for n2 in range(1, 5 - n1)
+            for p1 in self._reference_profiles(m, n1)
+            for p2 in self._reference_profiles(m, n2, shift=n1)
+        ]
+        got = [(self._ordered(p1), self._ordered(p2)) for p1, p2 in _disjoint_pairs(m, 4)]
+        assert got == expected
 
     def test_random_profile_seeded(self):
         a = random_profile(5, 10, seed=42)
