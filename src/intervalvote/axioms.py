@@ -24,7 +24,7 @@ from .core import (
     replicate,
     robust_step,
 )
-from .preferences import WeakOrder, enumerate_wsp_with_plateau
+from .preferences import WeakOrder, first_wsp_witness, some_wsp_prefers
 from .rules import PositionThresholdRule, collective_positions
 
 PASS = "pass"
@@ -278,32 +278,32 @@ def check_right_biased_continuity(
 
 def check_strategyproofness(f: RuleFn, p: Profile, voter: VoterId) -> CheckResult:
     """No misreport may strictly improve the outcome for any weakly
-    single-peaked preference whose plateau is the voter's interval."""
+    single-peaked preference whose plateau is the voter's interval;
+    `violations` holds one witness per manipulating report, naming the
+    first such preference that gains from it."""
     truth = p.interval(voter)
     honest = f(p)
     violations = []
-    orders = enumerate_wsp_with_plateau(p.m, truth)
     for report in canonical_intervals(p.m):
         if report == truth:
             continue
         outcome = f(p.with_interval(voter, report))
-        if outcome == honest:
+        if not some_wsp_prefers(truth, outcome, honest):
             continue
-        for pref in orders:
-            if pref.strictly_prefers(outcome, honest):
-                violations.append(
-                    Violation(
-                        axiom="strategyproofness",
-                        witness={
-                            "profile": p.to_json(),
-                            "voter": voter,
-                            "preference": pref.to_json(),
-                            "report": [report.left, report.right],
-                        },
-                        observed={"honest": honest, "manipulated": outcome},
-                        required="honest outcome weakly preferred",
-                    )
-                )
+        pref = first_wsp_witness(p.m, truth, outcome, honest).to_json()
+        violations.append(
+            Violation(
+                axiom="strategyproofness",
+                witness={
+                    "profile": p.to_json(),
+                    "voter": voter,
+                    "preference": pref,
+                    "report": [report.left, report.right],
+                },
+                observed={"honest": honest, "manipulated": outcome},
+                required="honest outcome weakly preferred",
+            )
+        )
     return _scan_result(violations)
 
 
@@ -445,8 +445,7 @@ def _decode_replay(f: RuleFn, violation: dict) -> Callable[[], bool]:
             for v in check_robustness(f, p).violations
         )
     if axiom == "strategyproofness":
-        # the witness names one preference; evaluate it directly rather
-        # than re-enumerating every order the checker scans
+        # the witness names one preference; evaluate it directly
         report = Interval(*map(json_int, witness["report"]))
         deviated = p.with_interval(witness["voter"], report)
         pref = WeakOrder(

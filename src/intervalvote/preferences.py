@@ -1,23 +1,20 @@
-"""Weakly single-peaked weak orders over small alternative sets.
+"""Weak orders and the weakly single-peaked orders with a given plateau.
 
 A weak order is an ordered partition of {1..m} into indifference
-classes, best class first.  Enumeration is capped because the number of
-weak orders grows super-exponentially (13 on 3 elements, 75 on 4, 541
-on 5).
+classes, best class first.  It is weakly single-peaked exactly when the
+union of its first k classes is an interval for every k, so an order
+with top class `plateau` is a chain of extensions of `plateau`: each
+further class adds some alternatives next to the covered interval on
+its left and some on its right.  Strategyproofness needs only whether
+such an order strictly prefers one alternative to another, and one
+such order as a witness; both are computed directly here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
-from .core import Interval, TooLarge, VotingError
-
-DEFAULT_GUARD = 5
-
-
-class NotWeaklySinglePeaked(VotingError):
-    pass
+from .core import Interval, VotingError
 
 
 @dataclass(frozen=True)
@@ -57,72 +54,51 @@ class WeakOrder:
         return [sorted(cls) for cls in self.levels]
 
 
-def is_weakly_single_peaked(w: WeakOrder) -> bool:
-    """Direct quantifier check: some peak x such that preference weakly
-    decreases step by step when moving away from x in either direction."""
-    alts = range(1, w.m + 1)
-    for x in alts:
-        ok = True
-        for y in alts:
-            for z in alts:
-                if (x <= y < z) or (z < y <= x):
-                    if not w.weakly_prefers(y, z):
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            return True
+def some_wsp_prefers(plateau: Interval, o: int, h: int) -> bool:
+    """Whether some weakly single-peaked order with top class `plateau`
+    strictly prefers alternative `o` to alternative `h`.
+
+    Every upper contour set of such an order is an interval containing
+    the plateau, so `o` can be ranked above `h` exactly when `h` is off
+    the plateau and `o` lies on the same side of `h` as the plateau.
+    """
+    if h < plateau.left:
+        return o > h
+    if h > plateau.right:
+        return o < h
     return False
 
 
-def top_set(w: WeakOrder) -> Interval:
-    """The best indifference class as an interval.
+def first_wsp_witness(m: int, plateau: Interval, o: int, h: int) -> WeakOrder:
+    """The first weakly single-peaked order with top class `plateau` that
+    strictly prefers `o` to `h`.
 
-    For weakly single-peaked orders the top class is always contiguous;
-    a gap signals a caller bug.
+    Orders are ranked as ordered partitions of the other alternatives,
+    each next class chosen by ascending subset mask over them in
+    increasing order; this fixes which witness a campaign reports.  On
+    weakly single-peaked orders that ranking lists the chains of
+    extensions depth first: each step adds the a nearest alternatives
+    left and the b nearest right of the covered interval,
+    (a, b) != (0, 0), with b ascending in the outer loop and a in the
+    inner one.  The first matching chain takes, at every step, the first
+    extension that does not reach `h` before `o`; reaching both in one
+    step would rank them equal.
     """
-    best = sorted(w.levels[0])
-    if best[-1] - best[0] + 1 != len(best):
-        raise NotWeaklySinglePeaked(
-            f"top class {best} is not contiguous"
-        )
-    return Interval(best[0], best[-1])
-
-
-def _ordered_partitions(items: tuple[int, ...]) -> Iterator[tuple[frozenset[int], ...]]:
-    """All ordered set partitions of `items`, deterministic order."""
-    if not items:
-        yield ()
-        return
-    n = len(items)
-    # choose the top block as any non-empty subset, then recurse
-    for mask in range(1, 1 << n):
-        block = frozenset(items[j] for j in range(n) if mask >> j & 1)
-        remaining = tuple(items[j] for j in range(n) if not mask >> j & 1)
-        for tail in _ordered_partitions(remaining):
-            yield (block,) + tail
-
-
-def enumerate_weak_orders(m: int, guard: int = DEFAULT_GUARD) -> list[WeakOrder]:
-    if m > guard:
-        raise TooLarge(f"weak-order enumeration capped at m <= {guard}")
-    return [
-        WeakOrder(m, levels)
-        for levels in _ordered_partitions(tuple(range(1, m + 1)))
-    ]
-
-
-def enumerate_wsp_with_plateau(m: int, plateau: Interval) -> list[WeakOrder]:
-    """All weakly single-peaked weak orders whose top class is `plateau`."""
-    if m > DEFAULT_GUARD:
-        raise TooLarge(f"weak-order enumeration capped at m <= {DEFAULT_GUARD}")
     plateau.validate(m)
-    top = frozenset(plateau.alternatives())
-    rest = tuple(a for a in range(1, m + 1) if a not in top)
-    out = []
-    for tail in _ordered_partitions(rest):
-        w = WeakOrder(m, (top,) + tail)
-        if is_weakly_single_peaked(w):
-            out.append(w)
-    return out
+    if not some_wsp_prefers(plateau, o, h):
+        raise VotingError(
+            f"no weakly single-peaked order with plateau "
+            f"[{plateau.left}, {plateau.right}] prefers {o} to {h}"
+        )
+    lo, hi = plateau.left, plateau.right
+    levels = [frozenset(plateau.alternatives())]
+    while lo > 1 or hi < m:
+        a, b = next(
+            (a, b)
+            for b in range(m - hi + 1)
+            for a in range(lo)
+            if (a or b) and (lo <= o <= hi or not lo - a <= h <= hi + b)
+        )
+        levels.append(frozenset(range(lo - a, lo)).union(range(hi + 1, hi + b + 1)))
+        lo, hi = lo - a, hi + b
+    return WeakOrder(m, tuple(levels))

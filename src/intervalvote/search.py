@@ -14,7 +14,7 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
@@ -30,7 +30,10 @@ from .core import (
     decoding,
 )
 from .axioms import (
+    PASS,
+    SATISFIED,
     UNDETERMINED,
+    VACUOUS,
     VIOLATION,
     CheckResult,
     RuleFn,
@@ -93,6 +96,8 @@ def enumeration_budget() -> int:
 
 
 def profile_count(m: int, n: int) -> int:
+    if n < 1:
+        raise VotingError(f"need at least one voter, got n={n}")
     q = m * (m + 1) // 2
     return math.comb(q + n - 1, n)
 
@@ -242,23 +247,24 @@ def _profile_dependent_alpha_winner(p: Profile) -> int:
     return p.m
 
 
-def _constant(m: int, params: dict) -> RuleFn:
-    target = int(params.get("winner", 1))
+def _constant(m: int, winner=1) -> RuleFn:
+    target = int(winner)
     return RuleFn(m, lambda p: target, name=f"constant-x{target}")
 
 
-# Each counterexample rule's builder from m and its TAG:key=value
-# parameters; each fails exactly one characterization axiom (or, for the
-# profile-dependent weights, fixed-vector representability).
-FIXTURES: dict[str, Callable[[int, dict], RuleFn]] = {
+# Each counterexample rule's builder from m, with its TAG:key=value
+# parameters as keyword arguments, so that a key the builder does not
+# take is refused; each fails exactly one characterization axiom (or,
+# for the profile-dependent weights, fixed-vector representability).
+FIXTURES: dict[str, Callable[..., RuleFn]] = {
     "constant": _constant,
-    "strict-threshold": lambda m, _: RuleFn(
+    "strict-threshold": lambda m: RuleFn(
         m, functools.partial(_strict_threshold_winner, endpoint_median_rule(m)),
         "strict-threshold",
     ),
-    "log-parity": lambda m, _: RuleFn(m, _log_parity_winner, "log-parity"),
-    "even-voter-doubled": lambda m, _: RuleFn(m, _even_doubled_winner, "even-voter-doubled"),
-    "profile-dependent-alpha": lambda m, _: RuleFn(
+    "log-parity": lambda m: RuleFn(m, _log_parity_winner, "log-parity"),
+    "even-voter-doubled": lambda m: RuleFn(m, _even_doubled_winner, "even-voter-doubled"),
+    "profile-dependent-alpha": lambda m: RuleFn(
         m, _profile_dependent_alpha_winner, "profile-dependent-alpha"
     ),
 }
@@ -267,13 +273,14 @@ FIXTURE_TAGS = tuple(FIXTURES)
 
 
 def fixture(tag: str, m: int, params: Optional[dict] = None) -> RuleFn:
-    """Fixture `tag` at m; VotingError for an unknown tag or a malformed parameter."""
+    """Fixture `tag` at m; VotingError for an unknown tag, a parameter key
+    the fixture does not take, or a malformed parameter value."""
     if tag not in FIXTURES:
         raise VotingError(
             f"unknown fixture {tag!r}; choose from {', '.join(FIXTURE_TAGS)}"
         )
     with decoding(f"fixture {tag!r}"):
-        return FIXTURES[tag](m, params or {})
+        return FIXTURES[tag](m, **(params or {}))
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +289,32 @@ def fixture(tag: str, m: int, params: Optional[dict] = None) -> RuleFn:
 
 @dataclass
 class Campaign:
+    """One axiom's sweep.  `by_status` counts the checked instances by
+    result status, so a reader can tell real passes from vacuous ones."""
+
     axiom: str
-    checked: int = 0
-    undetermined: int = 0
+    by_status: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(
+            (PASS, VACUOUS, SATISFIED, UNDETERMINED, VIOLATION), 0
+        )
+    )
     elapsed: float = 0.0
     violation: Optional[Violation] = None
     first_undetermined: Optional[dict] = None
+
+    @property
+    def checked(self) -> int:
+        return sum(self.by_status.values())
+
+    @property
+    def undetermined(self) -> int:
+        return self.by_status[UNDETERMINED]
 
     def to_json(self) -> dict:
         return {
             "axiom": self.axiom,
             "instances_checked": self.checked,
+            "by_status": dict(self.by_status),
             "undetermined": self.undetermined,
             "elapsed_seconds": round(self.elapsed, 3),
             "violation": self.violation.to_json() if self.violation else None,
@@ -399,14 +421,12 @@ def falsify(f: RuleFn, axiom: str, bounds: SearchBounds) -> Campaign:
     campaign = Campaign(axiom=axiom)
     start = time.monotonic()
     for result in stream(f, bounds):
-        campaign.checked += 1
+        campaign.by_status[result.status] += 1
         if result.status == VIOLATION:
             campaign.violation = result.violation
             break
-        if result.status == UNDETERMINED:
-            campaign.undetermined += 1
-            if campaign.first_undetermined is None:
-                campaign.first_undetermined = result.detail
+        if result.status == UNDETERMINED and campaign.first_undetermined is None:
+            campaign.first_undetermined = result.detail
     campaign.elapsed = time.monotonic() - start
     return campaign
 

@@ -20,11 +20,13 @@ from intervalvote.rules import (
 )
 from intervalvote.axioms import (
     PASS,
+    CheckResult,
     SATISFIED,
     UNDETERMINED,
     VACUOUS,
     VIOLATION,
     RuleFn,
+    Violation,
     check_anonymity,
     check_majority_criterion,
     check_orientation_symmetry,
@@ -40,6 +42,7 @@ from intervalvote.axioms import (
     replay_violation,
 )
 from intervalvote.search import fixture
+from wsp_oracle import enumerate_wsp_with_plateau
 
 HALF = Fraction(1, 2)
 
@@ -348,6 +351,77 @@ class TestStrategyproofness:
         observed = {(v.observed["honest"], v.observed["manipulated"]) for v in violations}
         assert (3, 1) in observed
         assert all(replay_violation(f, v.to_json()) for v in violations)
+
+
+def early_descent(m):
+    """Unchecked: alpha_1 = 3/4 above the later weights 1/4 fails the
+    compatibility test at index 1."""
+    return RuleFn.from_ptr(
+        PositionThresholdRule.make_unchecked(
+            WeightVector(m, (Fraction(3, 4),) + (Fraction(1, 4),) * (m - 1)),
+            ThresholdVector.constant(m, HALF),
+        )
+    )
+
+
+def enumerating_strategyproofness(f, p, voter):
+    """The checker by enumeration: every report that changes the
+    winner, against every weakly single-peaked order with the voter's
+    plateau, one witness per (report, preference)."""
+    truth = p.interval(voter)
+    honest = f(p)
+    violations = []
+    orders = enumerate_wsp_with_plateau(p.m, truth)
+    for report in canonical_intervals(p.m):
+        if report == truth:
+            continue
+        outcome = f(p.with_interval(voter, report))
+        if outcome == honest:
+            continue
+        for pref in orders:
+            if pref.strictly_prefers(outcome, honest):
+                violations.append(
+                    Violation(
+                        axiom="strategyproofness",
+                        witness={
+                            "profile": p.to_json(),
+                            "voter": voter,
+                            "preference": pref.to_json(),
+                            "report": [report.left, report.right],
+                        },
+                        observed={"honest": honest, "manipulated": outcome},
+                        required="honest outcome weakly preferred",
+                    )
+                )
+    if not violations:
+        return CheckResult(PASS)
+    return CheckResult(VIOLATION, violations[0], violations=tuple(violations))
+
+
+class TestStrategyproofnessAgainstEnumeration:
+    @pytest.mark.parametrize("m, n_max", [(3, 3), (4, 2)])
+    @pytest.mark.parametrize("rule", [em, early_descent])
+    def test_same_verdict_and_witnesses(self, m, n_max, rule):
+        f = rule(m)
+        manipulable = 0
+        for n in range(1, n_max + 1):
+            for ballots in itertools.combinations_with_replacement(
+                canonical_intervals(m), n
+            ):
+                p = Profile(m, dict(enumerate(ballots, 1)))
+                for voter in p.voters:
+                    new = check_strategyproofness(f, p, voter)
+                    old = enumerating_strategyproofness(f, p, voter)
+                    assert new.status == old.status, (p, voter)
+                    assert new.violation == old.violation, (p, voter)
+                    # one witness per report: the first the enumeration lists
+                    first = {}
+                    for v in old.violations:
+                        first.setdefault(tuple(v.witness["report"]), v)
+                    assert new.violations == tuple(first.values()), (p, voter)
+                    manipulable += new.status == VIOLATION
+        # two voters at m = 4 are too few for either rule to be manipulated
+        assert (manipulable > 0) == (rule is early_descent and m == 3)
 
 
 class TestStrongUncompromisingness:

@@ -223,6 +223,24 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert f"error: {message}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("spec, key", [("constant:winer=3", "winer"), ("log-parity:x=1", "x")])
+    def test_fixture_parameter_it_does_not_take(self, capsys, spec, key):
+        code = main(["falsify", "--fixture", spec, "--m", "3", "--axioms", "unanimity"])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        tag = spec.partition(":")[0]
+        assert captured.err.startswith(f"error: malformed fixture {tag!r}")
+        assert f"argument {key!r}" in captured.err
+
+    @pytest.mark.parametrize("argv", [["--n", "-1"], ["--n", "0", "--count-only"]])
+    def test_enumerate_without_voters(self, capsys, argv):
+        code = main(["enumerate", "--m", "2", *argv])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: need at least one voter")
+
     @pytest.mark.parametrize(
         "flag, value, axiom",
         [
@@ -359,14 +377,14 @@ class TestAudit:
         assert code == EXIT_PARSE
         assert "choose from robustness" in capsys.readouterr().err
 
-    def test_strategyproofness_guard_is_a_budget_exit(self, capsys, files):
-        # weak-order enumeration is capped at m <= 5
+    def test_strategyproofness_guard_is_a_budget_exit(self, capsys, files, monkeypatch):
+        # strategyproofness has no cap on m; only the enumeration budget
+        # stops it
         rule = files("m6.json", {"m": 6, "theta": ["1/2"] * 6, "alpha": ["1/2"] * 6})
-        code, _ = run(
-            capsys, "audit", "--rule", rule, "--axiom", "strategyproofness",
-            "--n-max", "1",
-        )
-        assert code == EXIT_BUDGET
+        argv = ("audit", "--rule", rule, "--axiom", "strategyproofness", "--n-max", "1")
+        assert run(capsys, *argv)[0] == EXIT_OK
+        monkeypatch.setenv("INTERVAL_VOTE_BUDGET", "1")
+        assert run(capsys, *argv)[0] == EXIT_BUDGET
 
 
 class TestFalsifyCommand:
@@ -388,9 +406,10 @@ class TestFalsifyCommand:
         assert card["unanimity"]["violation"] is not None
         assert card["anonymity"]["violation"] is None
 
-    def test_unknown_axiom_rejected_before_any_campaign(self, capsys):
-        # run first, the strategyproofness campaign would hit the m <= 5
-        # guard and exit with the budget code instead
+    def test_unknown_axiom_rejected_before_any_campaign(self, capsys, monkeypatch):
+        # run first, the strategyproofness campaign would exceed the
+        # enumeration budget and exit with the budget code instead
+        monkeypatch.setenv("INTERVAL_VOTE_BUDGET", "1")
         code, out = run(
             capsys, "falsify", "--fixture", "constant", "--m", "6",
             "--axioms", "strategyproofness,fairness", "--n-max", "1",

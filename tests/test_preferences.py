@@ -1,14 +1,14 @@
-"""Weak orders, weak single-peakedness, plateau enumeration."""
+"""Weak orders, the closed-form preference test and witness
+construction, and the enumeration oracle they are checked against."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intervalvote.core import Interval, VotingError
-from intervalvote.preferences import (
+from intervalvote.core import Interval, TooLarge, VotingError, canonical_intervals
+from intervalvote.preferences import WeakOrder, first_wsp_witness, some_wsp_prefers
+from wsp_oracle import (
     NotWeaklySinglePeaked,
-    TooLarge,
-    WeakOrder,
     enumerate_weak_orders,
     enumerate_wsp_with_plateau,
     is_weakly_single_peaked,
@@ -119,3 +119,39 @@ class TestPlateau:
         ]:
             by_plateau.extend(enumerate_wsp_with_plateau(4, iv))
         assert {w.levels for w in by_plateau} == {w.levels for w in all_wsp}
+
+
+def _cases(m):
+    """Every (plateau, o, h) with o != h at m, with the oracle's orders
+    for the plateau that strictly prefer o to h, in enumeration order."""
+    for plateau in canonical_intervals(m):
+        orders = enumerate_wsp_with_plateau(m, plateau, guard=m)
+        for o in range(1, m + 1):
+            for h in range(1, m + 1):
+                if o != h:
+                    yield plateau, o, h, [w for w in orders if w.strictly_prefers(o, h)]
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_some_wsp_prefers_matches_enumeration(self, m):
+        for plateau, o, h, preferring in _cases(m):
+            assert some_wsp_prefers(plateau, o, h) == bool(preferring), (plateau, o, h)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+    def test_first_witness_is_first_enumerated(self, m):
+        for plateau, o, h, preferring in _cases(m):
+            if preferring:
+                assert first_wsp_witness(m, plateau, o, h) == preferring[0], (plateau, o, h)
+
+    def test_witness_beyond_the_enumeration_cap(self):
+        # peak x_5 of 9: x_4 comes first, x_3 must wait until x_7 is in
+        w = first_wsp_witness(9, Interval(5, 5), 7, 3)
+        assert w.to_json() == [[5], [4], [6], [7], [3], [2], [1], [8], [9]]
+        assert is_weakly_single_peaked(w) and w.strictly_prefers(7, 3)
+
+    def test_no_witness_raises(self):
+        with pytest.raises(VotingError):  # x_2 is on the plateau
+            first_wsp_witness(4, Interval(2, 3), 1, 2)
+        with pytest.raises(VotingError):  # x_2 lies between x_1 and the plateau
+            first_wsp_witness(5, Interval(3, 3), 1, 2)

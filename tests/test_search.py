@@ -1,5 +1,6 @@
 """Enumeration, sampling, falsification campaigns, witness generators."""
 
+import collections
 import itertools
 import json
 import math
@@ -26,6 +27,7 @@ from intervalvote.axioms import (
 )
 from intervalvote.search import (
     AXIOM_TAGS,
+    AXIOMS,
     FIXTURE_TAGS,
     SearchBounds,
     TooLarge,
@@ -195,6 +197,34 @@ class TestFalsify:
         campaign = falsify(f, "reinforcement", SearchBounds(n_max=3, pair_budget=4))
         assert campaign.violation is not None
         assert replay_violation(f, campaign.violation.to_json())
+
+    @pytest.mark.parametrize("axiom", ["reinforcement", "continuity"])
+    def test_status_counts(self, axiom):
+        f = RuleFn.from_ptr(endpoint_median_rule(3))
+        bounds = SearchBounds(n_max=3, pair_budget=4, lambda_max=100)
+        report = falsify(f, axiom, bounds).to_json()
+        tally = collections.Counter(r.status for r in AXIOMS[axiom](f, bounds))
+        statuses = ("pass", "vacuous", "satisfied", "undetermined", "violation")
+        assert report["by_status"] == {status: tally[status] for status in statuses}
+        assert sum(report["by_status"].values()) == report["instances_checked"]
+
+    def test_strategyproofness_has_no_m_cap(self):
+        campaign = falsify(
+            RuleFn.from_ptr(endpoint_median_rule(6)), "strategyproofness",
+            SearchBounds(n_max=2),
+        )
+        assert campaign.violation is None and campaign.checked == 483
+        skewed = RuleFn.from_ptr(
+            PositionThresholdRule.make_unchecked(
+                WeightVector(6, (Fraction(3, 4),) + (Fraction(1, 4),) * 5),
+                ThresholdVector.constant(6, HALF),
+            )
+        )
+        campaign = falsify(skewed, "strategyproofness", SearchBounds(n_max=3))
+        assert campaign.violation is not None
+        witness = json.loads(json.dumps(campaign.violation.to_json()))
+        assert replay_violation(skewed, witness)
+        assert not replay_violation(RuleFn.from_ptr(endpoint_median_rule(6)), witness)
 
 
 def _skewed_weights(m=3):
