@@ -186,9 +186,6 @@ class Profile:
         new[voter] = iv
         return Profile(self.m, new)
 
-    def is_singleton_domain(self) -> bool:
-        return all(iv.is_singleton() for iv in self.voters.values())
-
     def support(self) -> set[int]:
         """Union of all reported intervals."""
         out: set[int] = set()
@@ -226,6 +223,8 @@ class AnonProfile:
     counts: tuple[int, ...]
 
     def __post_init__(self):
+        if self.m < 2:
+            raise InvalidAlternativeCount(f"need m >= 2, got {self.m}")
         q = self.m * (self.m + 1) // 2
         if len(self.counts) != q:
             raise VotingError(
@@ -255,13 +254,6 @@ class AnonProfile:
                 voters[vid] = iv
                 vid += 1
         return Profile(self.m, voters)
-
-    def __add__(self, other: "AnonProfile") -> "AnonProfile":
-        if self.m != other.m:
-            raise MismatchedAlternatives(f"m mismatch: {self.m} vs {other.m}")
-        return AnonProfile(
-            self.m, tuple(a + b for a, b in zip(self.counts, other.counts))
-        )
 
 
 def anonymize(p: Profile) -> AnonProfile:

@@ -7,16 +7,19 @@ Pi_alpha(profile, x_i) >= theta_i * n, compared exactly (ties count as
 satisfied).  theta_m and alpha_m are stored but never influence the
 winner since Pi_alpha(., x_m) = n and theta_m < 1.
 
-Evaluation kernel: one pass over a profile counts, per alternative, the
-voters whose left and whose right endpoint it is.  With the prefix sums
-L_k (left endpoint at or before x_k) and R_k (right endpoint at or
-before x_k) of these histograms,
+Evaluation kernel: `endpoint_histogram` makes one pass over a profile
+and counts, per alternative, the voters whose left and whose right
+endpoint it is.  With the running sums L_k (left endpoint at or before
+x_k) and R_k (right endpoint at or before x_k) of these histograms,
 Pi_alpha(x_k) = R_k + alpha_k * (L_k - R_k).  Writing alpha_k = a/b and
-theta_k = c/d with b, d > 0, the winner test
-Pi_alpha(x_k) >= theta_k * n holds exactly when the integer comparison
-(R_k * b + a * (L_k - R_k)) * d >= c * n * b does.  A winner costs one
-pass over the voters (over the nonzero counts of an anonymized profile)
-and at most m - 1 integer comparisons, with no floats.
+theta_k = c/d with b, d > 0, the winner test Pi_alpha(x_k) >= theta_k * n
+holds exactly when the integer comparison A_k * L_k + B_k * R_k >= C_k * n
+does, with A = a*d, B = (b - a)*d and C = c*b fixed per rule.
+`scan_winner` keeps L and R as it goes and stops at the first test that
+holds; a strict test (Pi > theta * n) is the same scan with 1 added to
+the right-hand side.  A winner costs one pass over the voters (over the
+nonzero counts of an anonymized profile) and at most m - 1 integer
+comparisons, with no floats.
 `individual_position`, the endpoint-median oracle, the singleton
 decomposition and the phantom-median rule compute the same quantities
 independently of the kernel and serve as its cross-checks.
@@ -27,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress
-from typing import Iterator, Optional, Union
+from itertools import compress
+from typing import Optional, Union
 
 from .core import (
     AnonProfile,
@@ -138,13 +141,14 @@ def _canonical_pairs(m: int) -> tuple[tuple[int, int], ...]:
     return tuple((iv.left, iv.right) for iv in canonical_intervals(m))
 
 
-def cumulative_endpoints(p: ProfileLike, m: int) -> tuple[list[int], list[int]]:
-    """L and R with L[k] (R[k]) the number of voters whose left (right)
-    endpoint is at or before x_k, for k = 0..m; one pass over `p`.
+def endpoint_histogram(p: ProfileLike, m: int) -> tuple[list[int], list[int]]:
+    """lefts[k] and rights[k]: the number of voters whose left (right)
+    endpoint is x_k, for k = 1..m (index 0 stays 0); one pass over the
+    voters, or over the nonzero counts of an anonymized profile.
 
     Raises InvalidAlternative when an interval reaches beyond x_m.
     """
-    size = max(m, p.m) + 1
+    size = (p.m if p.m > m else m) + 1
     lefts, rights = [0] * size, [0] * size
     if isinstance(p, AnonProfile):
         counts = p.counts
@@ -156,27 +160,41 @@ def cumulative_endpoints(p: ProfileLike, m: int) -> tuple[list[int], list[int]]:
         for iv in p.voters.values():
             lefts[iv.left] += 1
             rights[iv.right] += 1
-    if any(rights[m + 1 :]):
+    if p.m > m and any(rights[m + 1 :]):
         raise InvalidAlternative(f"profile has an interval beyond m={m}")
-    return list(accumulate(lefts[: m + 1])), list(accumulate(rights[: m + 1]))
+    return lefts, rights
 
 
-def threshold_tests(
-    terms: tuple[tuple[int, int, int, int], ...], L: list[int], R: list[int]
-) -> Iterator[tuple[int, int]]:
-    """Yield (lhs, rhs) for x_1, x_2, ... in turn, one per `terms` entry
-    (a, b, c, d) with alpha_k = a/b and theta_k = c/d (b, d > 0):
-    Pi(x_k) >= theta_k * n exactly when lhs >= rhs.  L and R come from
-    `cumulative_endpoints`."""
-    n = L[-1]
-    for (a, b, c, d), l, r in zip(terms, L[1:], R[1:]):
-        yield (r * b + a * (l - r)) * d, c * n * b
+def scan_winner(
+    coeffs: tuple[tuple[int, int, int], ...],
+    lefts: list[int],
+    rights: list[int],
+    n: int,
+    offset: int = 0,
+) -> int:
+    """The first k with A_k * L_k + B_k * R_k >= C_k * n + offset, for
+    (A_k, B_k, C_k) = coeffs[k - 1] and L_k, R_k the running sums of the
+    `endpoint_histogram` lists; len(coeffs) + 1 when no test holds.
+    offset = 1 makes every test strict."""
+    L = R = k = 0
+    for A, B, C in coeffs:
+        k += 1
+        L += lefts[k]
+        R += rights[k]
+        if A * L + B * R >= C * n + offset:
+            return k
+    return k + 1
 
 
 def collective_positions(alpha: WeightVector, p: ProfileLike) -> list[Fraction]:
     """Pi_alpha(p, x_k) for k = 1..m from one endpoint pass, exact."""
-    L, R = cumulative_endpoints(p, alpha.m)
-    return [r + a * (l - r) for a, l, r in zip(alpha.alpha, L[1:], R[1:])]
+    lefts, rights = endpoint_histogram(p, alpha.m)
+    positions, L, R = [], 0, 0
+    for a, l, r in zip(alpha.alpha, lefts[1:], rights[1:]):
+        L += l
+        R += r
+        positions.append(R + a * (L - R))
+    return positions
 
 
 def collective_position(alpha: WeightVector, p: ProfileLike, k: int) -> Fraction:
@@ -212,20 +230,25 @@ class PositionThresholdRule:
     theta: ThresholdVector
     alpha: WeightVector
     compatible: bool = field(default=True)
-    # (a, b, c, d) with alpha_k = a/b and theta_k = c/d for k = 1..m-1:
-    # the integer form of every winner test, see `threshold_tests`
-    terms: tuple[tuple[int, int, int, int], ...] = field(
+    # (A, B, C) = (a*d, (b - a)*d, c*b) with alpha_k = a/b and
+    # theta_k = c/d for k = 1..m-1: the integer form of every winner
+    # test, see `scan_winner`
+    coeffs: tuple[tuple[int, int, int], ...] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
         if self.theta.m != self.m or self.alpha.m != self.m:
             raise VotingError("vector lengths must match m")
-        terms = tuple(
-            (a.numerator, a.denominator, t.numerator, t.denominator)
+        coeffs = tuple(
+            (
+                a.numerator * t.denominator,
+                (a.denominator - a.numerator) * t.denominator,
+                t.numerator * a.denominator,
+            )
             for a, t in zip(self.alpha.alpha[:-1], self.theta.theta)
         )
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def make(cls, alpha: WeightVector, theta: ThresholdVector) -> "PositionThresholdRule":
@@ -282,11 +305,9 @@ def ptr_winner(rule: PositionThresholdRule, p: ProfileLike) -> int:
     """Smallest index whose collective position meets its scaled threshold."""
     if rule.m != p.m:
         raise VotingError(f"m mismatch: rule {rule.m} vs profile {p.m}")
-    tests = threshold_tests(rule.terms, *cumulative_endpoints(p, rule.m))
-    for i, (lhs, rhs) in enumerate(tests, 1):
-        if lhs >= rhs:
-            return i
-    return rule.m  # Pi(., x_m) = n > theta_m * n always
+    lefts, rights = endpoint_histogram(p, rule.m)
+    # x_m wins when no earlier test holds: Pi(., x_m) = n > theta_m * n
+    return scan_winner(rule.coeffs, lefts, rights, p.n)
 
 
 def phantom_median_winner(theta: ThresholdVector, p: ProfileLike) -> int:

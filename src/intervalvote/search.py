@@ -21,6 +21,7 @@ from typing import Callable, Iterator, Optional
 from .core import (
     AnonProfile,
     Interval,
+    InvalidAlternativeCount,
     Profile,
     TooLarge,
     VoterId,
@@ -55,9 +56,9 @@ from .rules import (
     PositionThresholdRule,
     ThresholdVector,
     WeightVector,
-    cumulative_endpoints,
+    endpoint_histogram,
     endpoint_median_rule,
-    threshold_tests,
+    scan_winner,
 )
 
 BUDGET_ENV = "INTERVAL_VOTE_BUDGET"
@@ -96,6 +97,8 @@ def enumeration_budget() -> int:
 
 
 def profile_count(m: int, n: int) -> int:
+    if m < 2:
+        raise InvalidAlternativeCount(f"need m >= 2, got {m}")
     if n < 1:
         raise VotingError(f"need at least one voter, got n={n}")
     q = m * (m + 1) // 2
@@ -209,11 +212,8 @@ def _log_parity_winner(p: Profile) -> int:
 
 def _strict_threshold_winner(rule: PositionThresholdRule, p: Profile) -> int:
     """`rule` with every threshold test made strict (Pi > theta * n)."""
-    tests = threshold_tests(rule.terms, *cumulative_endpoints(p, rule.m))
-    for i, (lhs, rhs) in enumerate(tests, 1):
-        if lhs > rhs:
-            return i
-    return rule.m
+    lefts, rights = endpoint_histogram(p, rule.m)
+    return scan_winner(rule.coeffs, lefts, rights, p.n, 1)
 
 
 def _even_doubled_winner(p: Profile) -> int:
@@ -222,29 +222,29 @@ def _even_doubled_winner(p: Profile) -> int:
     With alpha = theta = 1/2, Pi(x_k) >= n/2 over the n doubled ballots
     is L_k + R_k >= n in integers.
     """
-    ballots: list[Interval] = []
+    lefts, rights = [0] * (p.m + 1), [0] * (p.m + 1)
     for voter, iv in p.voters.items():
         try:
             weight = 2 if int(voter) % 2 == 0 else 1
         except (TypeError, ValueError):
             weight = 1
-        ballots += [iv] * weight
-    L, R = cumulative_endpoints(Profile(p.m, dict(enumerate(ballots))), p.m)
-    return next(k for k in range(1, p.m + 1) if L[k] + R[k] >= len(ballots))
+        lefts[iv.left] += weight
+        rights[iv.right] += weight
+    return scan_winner(((1, 1, 1),) * (p.m - 1), lefts, rights, sum(lefts))
 
 
 def _profile_dependent_alpha_winner(p: Profile) -> int:
     """Endpoint-variant whose first weight shrinks with the number of
     voters excluding x_1; behaves like a different threshold rule per
     profile, which no fixed vector pair can reproduce."""
-    L, R = cumulative_endpoints(p, p.m)
-    # a_1 = 1/2 - excluded / (2n) = L[1] / (2n): only voters whose
-    # interval starts at x_1 contain it
-    terms = ((L[1], 2 * p.n, 1, 2),) + ((1, 1, 1, 2),) * (p.m - 2)
-    for i, (lhs, rhs) in enumerate(threshold_tests(terms, L, R), 1):
-        if lhs >= rhs:
-            return i
-    return p.m
+    lefts, rights = endpoint_histogram(p, p.m)
+    # a_1 = 1/2 - excluded / (2n) = lefts[1] / (2n): only voters whose
+    # interval starts at x_1 contain it.  With theta = 1/2 the (A, B, C)
+    # of alpha_1 = lefts[1] / (2n) is (lefts[1], 2n - lefts[1], n) after
+    # dividing by 2, and that of alpha_k = 1 is (2, 0, 1)
+    n, first = p.n, lefts[1]
+    coeffs = ((first, 2 * n - first, n),) + ((2, 0, 1),) * (p.m - 2)
+    return scan_winner(coeffs, lefts, rights, n)
 
 
 def _constant(m: int, winner=1) -> RuleFn:

@@ -241,6 +241,15 @@ class TestMalformedInput:
         assert captured.out == ""
         assert captured.err.startswith("error: need at least one voter")
 
+    @pytest.mark.parametrize("m", ["1", "-3"])
+    @pytest.mark.parametrize("count_only", [[], ["--count-only"]])
+    def test_enumerate_too_few_alternatives(self, capsys, m, count_only):
+        code = main(["enumerate", "--m", m, "--n", "2", *count_only])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: need m >= 2, got {m}")
+
     @pytest.mark.parametrize(
         "flag, value, axiom",
         [

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from intervalvote import rules, search
+from intervalvote.axioms import RuleFn
 from intervalvote.core import (
     Interval,
     InvalidAlternative,
@@ -36,6 +37,7 @@ from intervalvote.rules import (
 )
 
 FRACTIONS = st.fractions(min_value=0, max_value=1, max_denominator=12)
+THETAS = FRACTIONS.filter(lambda t: 0 < t < 1)
 
 
 def naive_position(alpha: WeightVector, p: Profile, k: int) -> Fraction:
@@ -70,10 +72,7 @@ def weights(draw, m):
 
 @st.composite
 def thresholds(draw, m):
-    inner = st.fractions(min_value=0, max_value=1, max_denominator=12).filter(
-        lambda t: 0 < t < 1
-    )
-    values = sorted((draw(inner) for _ in range(m)), reverse=True)
+    values = sorted((draw(THETAS) for _ in range(m)), reverse=True)
     return ThresholdVector(m, tuple(values))
 
 
@@ -148,6 +147,60 @@ class TestKernelAgainstDefinition:
         assert rule.winner(p) == rule.winner(anonymize(p)) == expected
 
 
+@st.composite
+def coefficient_cases(draw):
+    """(alpha, theta, n, L, R) with 0 <= R <= L <= n; about half of the
+    draws put theta where Pi = R + alpha * (L - R) ties theta * n."""
+    alpha = draw(FRACTIONS)
+    n = draw(st.integers(1, 40))
+    L = draw(st.integers(0, n))
+    R = draw(st.integers(0, L))
+    position = R + alpha * (L - R)
+    if draw(st.booleans()) and 0 < position < n:
+        return alpha, position / n, n, L, R
+    return alpha, draw(THETAS), n, L, R
+
+
+class TestCoefficientForm:
+    @settings(max_examples=300)
+    @given(coefficient_cases())
+    # exact ties: Pi = 1 + (1/2)(3 - 1) = 2 = (1/2) * 4; Pi = 1 = (1/3) * 3
+    # with A = 0
+    @example((ONE_HALF, ONE_HALF, 4, 3, 1))
+    @example((Fraction(0), Fraction(1, 3), 3, 2, 1))
+    def test_coeffs_match_fraction_definition(self, case):
+        alpha, theta, n, L, R = case
+        rule = PositionThresholdRule.make_unchecked(
+            WeightVector(2, (alpha, Fraction(1))), ThresholdVector(2, (theta, theta))
+        )
+        ((A, B, C),) = rule.coeffs
+        position = R + alpha * (L - R)
+        assert (A * L + B * R >= C * n) == (position >= theta * n)
+        assert (A * L + B * R >= C * n + 1) == (position > theta * n)
+
+
+@pytest.mark.parametrize("anonymized", [False, True])
+def test_each_evaluation_calls_ptr_winner_once(monkeypatch, anonymized):
+    """Rule evaluations are counted as calls of the module-level
+    `rules.ptr_winner`, so the method and the black-box wrapper must each
+    go through it exactly once."""
+    calls = []
+    original = rules.ptr_winner
+
+    def counting(rule, p):
+        calls.append(p)
+        return original(rule, p)
+
+    monkeypatch.setattr(rules, "ptr_winner", counting)
+    rule = endpoint_median_rule(4)
+    p = Profile(4, {1: Interval(1, 2), 2: Interval(2, 4), 3: Interval(3, 3)})
+    q = anonymize(p) if anonymized else p
+    assert rule.winner(q) == 2
+    assert calls == [q]
+    assert RuleFn.from_ptr(rule)(q) == 2
+    assert calls == [q, q]
+
+
 class TestKernelErrors:
     def test_m_mismatch(self):
         p = Profile(3, {1: Interval(1, 2)})
@@ -197,8 +250,8 @@ def test_oracles_do_not_use_the_kernel(monkeypatch):
         "ptr_winner",
         "collective_position",
         "collective_positions",
-        "cumulative_endpoints",
-        "threshold_tests",
+        "endpoint_histogram",
+        "scan_winner",
     ):
         monkeypatch.setattr(rules, name, kernel_called)
     with pytest.raises(AssertionError):
@@ -274,7 +327,8 @@ def test_cached_terms_leave_rule_identity_unchanged():
     theta = ThresholdVector(3, (Fraction(2, 3), Fraction(1, 2), Fraction(1, 2)))
     rule = PositionThresholdRule.make(alpha, theta)
     twin = PositionThresholdRule(3, theta, alpha)
-    assert rule.terms == ((1, 3, 2, 3), (1, 2, 1, 2))
+    # (a*d, (b - a)*d, c*b) for alpha_k = a/b, theta_k = c/d
+    assert rule.coeffs == ((3, 6, 6), (2, 2, 2))
     assert rule == twin and hash(rule) == hash(twin)
     assert rule != PositionThresholdRule(3, theta, alpha, compatible=False)
     assert repr(rule) == (
