@@ -16,15 +16,21 @@ from .core import (
     Profile,
     VoterId,
     VotingError,
-    canonical_intervals,
     combine,
     decoding,
     delete_endpoint,
+    interval_table,
     json_int,
     replicate,
     robust_step,
+    table_interval,
 )
-from .preferences import WeakOrder, first_wsp_witness, some_wsp_prefers
+from .preferences import (
+    WeakOrder,
+    first_wsp_witness,
+    is_wsp_with_plateau,
+    some_wsp_prefers,
+)
 from .rules import PositionThresholdRule, collective_positions
 
 PASS = "pass"
@@ -177,7 +183,7 @@ def check_strong_unanimity(f: RuleFn, p: Profile) -> CheckResult:
 def check_majority_criterion(f: RuleFn, p: Profile) -> CheckResult:
     for j in range(1, p.m + 1):
         supporters = sum(
-            1 for iv in p.voters.values() if iv == Interval(j, j)
+            1 for iv in p.voters.values() if iv.left == iv.right == j
         )
         if 2 * supporters > p.n:
             w = f(p)
@@ -218,7 +224,7 @@ def check_anonymity(
         renamed[permutation.get(voter, voter)] = iv
     if len(renamed) != p.n:
         raise VotingError("permutation must be a bijection on voter ids")
-    q = Profile(p.m, renamed)
+    q = Profile._of(p.m, renamed)
     w1, w2 = f(p), f(q)
     if w1 == w2:
         return CheckResult(PASS)
@@ -284,7 +290,7 @@ def check_strategyproofness(f: RuleFn, p: Profile, voter: VoterId) -> CheckResul
     truth = p.interval(voter)
     honest = f(p)
     violations = []
-    for report in canonical_intervals(p.m):
+    for report in interval_table(p.m):
         if report == truth:
             continue
         outcome = f(p.with_interval(voter, report))
@@ -362,9 +368,12 @@ def check_shift_symmetry(f: RuleFn, p: Profile) -> CheckResult:
     """Shifting every interval one step right must shift the winner."""
     if any(iv.right >= p.m for iv in p.voters.values()):
         return CheckResult(VACUOUS)
-    shifted = Profile(
+    shifted = Profile._of(
         p.m,
-        {v: Interval(iv.left + 1, iv.right + 1) for v, iv in p.voters.items()},
+        {
+            v: table_interval(p.m, iv.left + 1, iv.right + 1)
+            for v, iv in p.voters.items()
+        },
     )
     w, ws = f(p), f(shifted)
     if ws == w + 1:
@@ -446,21 +455,30 @@ def _decode_replay(f: RuleFn, violation: dict) -> Callable[[], bool]:
         )
     if axiom == "strategyproofness":
         # the witness names one preference; evaluate it directly
+        voter = witness["voter"]
         report = Interval(*map(json_int, witness["report"]))
-        deviated = p.with_interval(witness["voter"], report)
+        deviated = p.with_interval(voter, report)
         pref = WeakOrder(
             p.m, tuple(frozenset(cls) for cls in witness["preference"])
         )
+        # only a weakly single-peaked preference whose top class is the
+        # voter's true interval can witness a manipulation
+        truthful = is_wsp_with_plateau(pref, p.interval(voter))
 
         def manipulates() -> bool:
             honest = f(p)
-            return pref.strictly_prefers(f(deviated), honest)
+            return truthful and pref.strictly_prefers(f(deviated), honest)
 
         return manipulates
     if axiom == "unanimity":
-        j = p.interval(next(iter(p.voters))).left
-        check = lambda: check_unanimity(f, p.m, j, n_max=p.n)
-    elif axiom == "strong-unanimity":
+        # the witness must be an electorate all reporting one singleton
+        first = next(iter(p.voters.values()))
+        j = first.left
+        unanimous = first.is_singleton() and all(
+            iv == first for iv in p.voters.values()
+        )
+        return lambda: unanimous and f(p) != j
+    if axiom == "strong-unanimity":
         check = lambda: check_strong_unanimity(f, p)
     elif axiom == "majority-criterion":
         check = lambda: check_majority_criterion(f, p)
@@ -468,6 +486,7 @@ def _decode_replay(f: RuleFn, violation: dict) -> Callable[[], bool]:
         check = lambda: check_weak_efficiency(f, p)
     elif axiom == "anonymity":
         perm = {old: new for old, new in witness["permutation"]}
+        set(perm.values())  # an unhashable new id fails while decoding
         check = lambda: check_anonymity(f, p, perm)
     elif axiom == "strong-uncompromisingness":
         voter = witness["voter"]

@@ -12,6 +12,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
 
 VoterId = Union[int, str]
@@ -143,18 +144,40 @@ def canonical_intervals(m: int) -> list[Interval]:
     return [Interval(l, r) for l in range(1, m + 1) for r in range(l, m + 1)]
 
 
+def _index(m: int, l: int, r: int) -> int:
+    # intervals with left endpoint < l: sum of (m - j + 1) for j < l
+    return (l - 1) * m - (l - 1) * (l - 2) // 2 + (r - l)
+
+
 def canonical_index(m: int, iv: Interval) -> int:
     """Position of `iv` in canonical_intervals(m)."""
     iv.validate(m)
-    l = iv.left
-    # intervals with left endpoint < l: sum of (m - j + 1) for j < l
-    before = (l - 1) * m - (l - 1) * (l - 2) // 2
-    return before + (iv.right - l)
+    return _index(m, iv.left, iv.right)
+
+
+@lru_cache(maxsize=32)
+def interval_table(m: int) -> tuple[Interval, ...]:
+    """canonical_intervals(m) as one shared, immutable tuple, built once
+    per m.  Campaigns and derived profiles take their intervals from it
+    instead of constructing (and validating) new ones per instance."""
+    return tuple(canonical_intervals(m))
+
+
+def table_interval(m: int, left: int, right: int) -> Interval:
+    """The interval [left, right] from interval_table(m); the caller
+    guarantees 1 <= left <= right <= m."""
+    return interval_table(m)[_index(m, left, right)]
 
 
 @dataclass(frozen=True)
 class Profile:
-    """An identified interval profile: voter id -> interval."""
+    """An identified interval profile: voter id -> interval.
+
+    `Profile(m, voters)` and `from_json` validate their input and copy
+    the mapping.  Profiles derived from a valid one (an endpoint
+    deletion, a combination, a replication, a campaign's enumeration)
+    are built with `Profile._of`, which trusts its input.
+    """
 
     m: int
     voters: Mapping[VoterId, Interval]
@@ -167,6 +190,17 @@ class Profile:
         for iv in self.voters.values():
             iv.validate(self.m)
         object.__setattr__(self, "voters", dict(self.voters))
+
+    @classmethod
+    def _of(cls, m: int, voters: dict) -> "Profile":
+        """A profile that takes ownership of `voters`, a fresh non-empty
+        dict whose intervals are valid for m >= 2, without validating or
+        copying it."""
+        p = object.__new__(cls)
+        attrs = p.__dict__
+        attrs["m"] = m
+        attrs["voters"] = voters
+        return p
 
     @property
     def n(self) -> int:
@@ -184,7 +218,7 @@ class Profile:
         iv.validate(self.m)
         new = dict(self.voters)
         new[voter] = iv
-        return Profile(self.m, new)
+        return Profile._of(self.m, new)
 
     def support(self) -> set[int]:
         """Union of all reported intervals."""
@@ -270,9 +304,9 @@ def delete_endpoint(p: Profile, voter: VoterId, side: str) -> Profile:
     if iv.is_singleton():
         raise CannotShrink(f"voter {voter!r} reports a singleton interval")
     if side == "left":
-        return p.with_interval(voter, Interval(iv.left + 1, iv.right))
+        return p.with_interval(voter, table_interval(p.m, iv.left + 1, iv.right))
     if side == "right":
-        return p.with_interval(voter, Interval(iv.left, iv.right - 1))
+        return p.with_interval(voter, table_interval(p.m, iv.left, iv.right - 1))
     raise VotingError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -296,7 +330,7 @@ def combine(p1: Profile, p2: Profile) -> Profile:
         raise NotDisjoint(f"shared voter ids: {sorted(map(str, overlap))}")
     merged = dict(p1.voters)
     merged.update(p2.voters)
-    return Profile(p1.m, merged)
+    return Profile._of(p1.m, merged)
 
 
 def replicate(p: Profile, copies: int, avoid_ids: Iterable[VoterId] = ()) -> Profile:
@@ -326,4 +360,4 @@ def replicate(p: Profile, copies: int, avoid_ids: Iterable[VoterId] = ()) -> Pro
             for k in range(1, copies + 1)
             for v, iv in p.voters.items()
         }
-    return Profile(p.m, voters)
+    return Profile._of(p.m, voters)

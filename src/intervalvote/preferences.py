@@ -69,6 +69,23 @@ def some_wsp_prefers(plateau: Interval, o: int, h: int) -> bool:
     return False
 
 
+def is_wsp_with_plateau(order: WeakOrder, plateau: Interval) -> bool:
+    """Whether `order` is weakly single-peaked with top class `plateau`:
+    its top class is the plateau and each further class extends the
+    covered interval to a larger interval."""
+    if order.levels[0] != frozenset(plateau.alternatives()):
+        return False
+    lo, hi = plateau.left, plateau.right
+    for cls in order.levels[1:]:
+        new_lo, new_hi = min(lo, min(cls)), max(hi, max(cls))
+        # the classes are disjoint, so cls fills the gap exactly when
+        # it has as many alternatives as the interval grew by
+        if len(cls) != (new_hi - new_lo) - (hi - lo):
+            return False
+        lo, hi = new_lo, new_hi
+    return True
+
+
 def first_wsp_witness(m: int, plateau: Interval, o: int, h: int) -> WeakOrder:
     """The first weakly single-peaked order with top class `plateau` that
     strictly prefers `o` to `h`.

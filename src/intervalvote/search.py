@@ -29,6 +29,7 @@ from .core import (
     anonymize,
     canonical_intervals,
     decoding,
+    interval_table,
 )
 from .axioms import (
     PASS,
@@ -117,8 +118,8 @@ def _profiles(
         raise TooLarge(
             f"enumeration of {count} profiles exceeds budget {budget}"
         )
-    for ballots in itertools.combinations_with_replacement(canonical_intervals(m), n):
-        yield Profile(m, dict(enumerate(ballots, first_id)))
+    for ballots in itertools.combinations_with_replacement(interval_table(m), n):
+        yield Profile._of(m, dict(enumerate(ballots, first_id)))
 
 
 def enumerate_profiles(m: int, n: int, budget: Optional[int] = None) -> Iterator[AnonProfile]:
@@ -349,7 +350,7 @@ def _voters(m: int, n_max: int) -> Iterator[tuple[Profile, VoterId]]:
 
 
 def _interval_changes(m: int, n_max: int) -> Iterator[tuple[Profile, VoterId, Interval]]:
-    intervals = canonical_intervals(m)
+    intervals = interval_table(m)
     for p, voter in _voters(m, n_max):
         for new_iv in intervals:
             yield p, voter, new_iv

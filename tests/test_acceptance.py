@@ -25,6 +25,7 @@ from intervalvote.rules import (
 )
 from intervalvote.axioms import (
     PASS,
+    SATISFIED,
     RuleFn,
     check_majority_criterion,
     check_robustness,
@@ -50,6 +51,11 @@ HALF = Fraction(1, 2)
 
 def report(n, message):
     print(f"[criterion-{n}] PASS: {message}", flush=True)
+
+
+def assert_has_evidence(campaign, *context):
+    """A clean campaign must rest on at least one non-vacuous instance."""
+    assert campaign.by_status[PASS] + campaign.by_status[SATISFIED] > 0, context
 
 
 def identified_profiles(m, n_max):
@@ -118,6 +124,7 @@ def test_criterion_4_characterization_axioms_hold():
             campaign = falsify(f, axiom, bounds)
             assert campaign.violation is None, (f.name, axiom)
             assert campaign.undetermined == 0, (f.name, axiom)
+            assert_has_evidence(campaign, f.name, axiom)
     report(4, "6 rules x 5 axioms, zero violations and zero undetermined")
 
 
@@ -210,11 +217,14 @@ def test_criterion_8_independence_scorecard():
             campaign = falsify(f, axiom, bounds)
             failed = campaign.violation is not None or campaign.undetermined > 0
             assert failed == (axiom == bad), (tag, axiom)
+            if not failed:
+                assert_has_evidence(campaign, tag, axiom)
 
     g = fixture("profile-dependent-alpha", 3)
     for axiom in ("robustness", "anonymity", "unanimity", "continuity"):
         campaign = falsify(g, axiom, bounds)
         assert campaign.violation is None and campaign.undetermined == 0, axiom
+        assert_has_evidence(campaign, "profile-dependent-alpha", axiom)
 
     pa, pb, pc = remark_scaled_triple()
     g2 = fixture("profile-dependent-alpha", 2)

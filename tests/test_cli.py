@@ -193,6 +193,18 @@ class TestMalformedInput:
         assert code == EXIT_PARSE
         assert "missing field 'profile1'" in capsys.readouterr().err
 
+    def test_replay_unhashable_permutation_target(self, capsys, files, em_rule):
+        witness = files("w.json", {
+            "axiom": "anonymity",
+            "witness": {
+                "profile": {"m": 4, "voters": [{"id": 1, "interval": [1, 2]}]},
+                "permutation": [[1, [2]]],
+            },
+        })
+        code = main(["audit", "--rule", em_rule, "--replay", witness])
+        assert code == EXIT_PARSE
+        assert "error: malformed violation: unhashable type" in capsys.readouterr().err
+
     def test_unknown_fixture(self, capsys):
         code = main(["audit", "--fixture", "coin-flip", "--m", "3", "--axiom", "unanimity"])
         assert code == EXIT_PARSE
@@ -264,6 +276,50 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+class TestForgedReplay:
+    """A well-formed witness that the axiom's checker could not have
+    produced does not replay (exit 0), even on a rule it would hurt."""
+
+    def test_strategyproofness_preference_off_the_true_interval(self, capsys, files):
+        rule = files("em3.json", {"m": 3, "theta": ["1/2"] * 3, "alpha": ["1/2"] * 3})
+        profile = {
+            "m": 3,
+            "voters": [{"id": 1, "interval": [1, 1]}, {"id": 2, "interval": [3, 3]}],
+        }
+        # voter 1's true interval is {x_1}, but the preference tops {x_3}
+        witness = files("w.json", {
+            "axiom": "strategyproofness",
+            "witness": {
+                "profile": profile,
+                "voter": 1,
+                "report": [3, 3],
+                "preference": [[3], [1, 2]],
+            },
+        })
+        code, out = run(capsys, "audit", "--rule", rule, "--replay", witness)
+        assert code == EXIT_OK
+        assert json.loads(out)["replayed"] is False
+        code, _ = run(capsys, "audit", "--rule", rule, "--axiom", "strategyproofness")
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("intervals, replayed", [
+        ([[2, 3], [1, 1]], False),
+        ([[2, 2], [2, 3]], False),
+        ([[2, 2], [2, 2]], True),
+    ])
+    def test_unanimity_needs_one_shared_singleton(self, capsys, files, intervals, replayed):
+        profile = {
+            "m": 3,
+            "voters": [{"id": v, "interval": iv} for v, iv in enumerate(intervals, 1)],
+        }
+        witness = files("w.json", {"axiom": "unanimity", "witness": {"profile": profile}})
+        code, out = run(
+            capsys, "audit", "--fixture", "constant:winner=1", "--m", "3", "--replay", witness
+        )
+        assert code == (EXIT_VIOLATION if replayed else EXIT_OK)
+        assert json.loads(out)["replayed"] is replayed
 
 
 class TestCompat:

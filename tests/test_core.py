@@ -28,6 +28,9 @@ from intervalvote.core import (
     replicate,
     robust_step,
 )
+from intervalvote.axioms import RuleFn, check_anonymity, check_shift_symmetry
+from intervalvote.rules import endpoint_median_rule
+from intervalvote.search import SearchBounds, _profiles, falsify
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=10**6
@@ -135,6 +138,13 @@ class TestProfile:
         with pytest.raises(NoSuchVoter):
             p.with_interval(2, Interval(1, 1))
 
+    def test_out_of_range_interval_rejected(self):
+        p = Profile(2, {1: Interval(1, 1)})
+        with pytest.raises(InvalidAlternative):
+            Profile(2, {1: Interval(1, 3)})
+        with pytest.raises(InvalidAlternative):
+            p.with_interval(1, Interval(2, 3))
+
     def test_support_and_singleton_domain(self):
         p = Profile(4, {1: Interval(1, 2), 2: Interval(4, 4)})
         assert p.support() == {1, 2, 4}
@@ -240,3 +250,86 @@ class TestCombineReplicate:
         p = Profile(2, {1: Interval(1, 1)})
         big = replicate(p, 5, avoid_ids=[2, 99])
         assert not set(big.voters) & {2, 99}
+
+
+def assert_trusted(q, parent):
+    """A derived profile equals its validated rebuild and owns its dict."""
+    assert q == Profile(q.m, dict(q.voters))
+    assert q.voters is not parent.voters
+
+
+class TestTrustedDerivations:
+    """Derived profiles skip validation; each must still be a profile the
+    validating constructor accepts unchanged."""
+
+    @given(profiles(), st.data())
+    def test_with_interval(self, p, data):
+        voter = data.draw(st.sampled_from(sorted(p.voters)))
+        iv = data.draw(st.sampled_from(canonical_intervals(p.m)))
+        q = p.with_interval(voter, iv)
+        assert_trusted(q, p)
+        assert q.interval(voter) == iv
+
+    @given(profiles())
+    def test_delete_endpoint(self, p):
+        for voter, iv in p.voters.items():
+            if iv.is_singleton():
+                continue
+            for side, shrunk in (
+                ("left", Interval(iv.left + 1, iv.right)),
+                ("right", Interval(iv.left, iv.right - 1)),
+            ):
+                q = delete_endpoint(p, voter, side)
+                assert_trusted(q, p)
+                assert q.interval(voter) == shrunk
+
+    @given(profiles(), st.integers(1, 3))
+    def test_combine_and_replicate(self, p, k):
+        other = Profile(p.m, {f"b{v}": iv for v, iv in p.voters.items()})
+        both = combine(p, other)
+        assert_trusted(both, p)
+        assert both.voters is not other.voters
+        big = replicate(p, k, avoid_ids=[0])
+        assert_trusted(big, p)
+        assert big.n == k * p.n
+
+    @pytest.mark.parametrize("m, n", [(2, 1), (2, 3), (3, 2), (4, 2), (5, 1)])
+    def test_enumerated_profiles(self, m, n):
+        seen = list(_profiles(m, n, first_id=4))
+        assert len(set(map(anonymize, seen))) == len(seen)
+        for q in seen:
+            assert q == Profile(m, dict(q.voters))
+            assert sorted(q.voters) == list(range(4, 4 + n))
+
+    @given(profiles(), st.randoms())
+    def test_anonymity_and_shift_constructions(self, p, rng):
+        seen = []
+        f = RuleFn(p.m, lambda q: seen.append(q) or 1)
+        ids = sorted(p.voters)
+        perm = dict(zip(ids, rng.sample(ids, len(ids))))
+        check_anonymity(f, p, perm)
+        renamed = seen[-1]
+        assert_trusted(renamed, p)
+        assert renamed.voters == {perm[v]: iv for v, iv in p.voters.items()}
+        seen.clear()
+        check_shift_symmetry(f, p)
+        if seen:  # not vacuous: every interval could move right
+            shifted = seen[-1]
+            assert_trusted(shifted, p)
+            assert shifted.voters == {
+                v: Interval(iv.left + 1, iv.right + 1) for v, iv in p.voters.items()
+            }
+
+    def test_campaign_validates_no_profile(self, monkeypatch):
+        f = RuleFn.from_ptr(endpoint_median_rule(3))
+        validated = []
+        original = Profile.__post_init__
+
+        def counting(self):
+            validated.append(self)
+            original(self)
+
+        monkeypatch.setattr(Profile, "__post_init__", counting)
+        campaign = falsify(f, "robustness", SearchBounds(n_max=2))
+        assert campaign.checked == 6 + 21
+        assert validated == []

@@ -6,7 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from intervalvote.core import Interval, TooLarge, VotingError, canonical_intervals
-from intervalvote.preferences import WeakOrder, first_wsp_witness, some_wsp_prefers
+from intervalvote.preferences import (
+    WeakOrder,
+    first_wsp_witness,
+    is_wsp_with_plateau,
+    some_wsp_prefers,
+)
 from wsp_oracle import (
     NotWeaklySinglePeaked,
     enumerate_weak_orders,
@@ -143,6 +148,13 @@ class TestClosedForm:
         for plateau, o, h, preferring in _cases(m):
             if preferring:
                 assert first_wsp_witness(m, plateau, o, h) == preferring[0], (plateau, o, h)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_plateau_membership_matches_enumeration(self, m):
+        orders = enumerate_weak_orders(m)
+        for plateau in canonical_intervals(m):
+            expected = set(enumerate_wsp_with_plateau(m, plateau))
+            assert {w for w in orders if is_wsp_with_plateau(w, plateau)} == expected
 
     def test_witness_beyond_the_enumeration_cap(self):
         # peak x_5 of 9: x_4 comes first, x_3 must wait until x_7 is in
