@@ -449,6 +449,11 @@ def _decode_replay(f: RuleFn, violation: dict) -> Callable[[], bool]:
     p = Profile.from_json(witness["profile"])
     if axiom == "robustness":
         voter, side = witness["voter"], witness["side"]
+        p.interval(voter)  # an unknown or unhashable id fails while decoding
+        if side not in ("left", "right"):
+            raise VotingError(
+                f"robustness witness side must be 'left' or 'right', got {side!r}"
+            )
         return lambda: any(
             v.witness["voter"] == voter and v.witness["side"] == side
             for v in check_robustness(f, p).violations

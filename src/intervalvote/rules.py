@@ -39,6 +39,7 @@ from .core import (
     InvalidAlternative,
     InvalidAlternativeCount,
     Profile,
+    TooLarge,
     VoterId,
     VotingError,
     canonical_intervals,
@@ -457,7 +458,7 @@ def incompatibility_witness(
         v = (1 - t_i) / (1 - a_i)  # in (0, 1)
         mover, anchor = Interval(i, i + 2), Interval(i, i)
     if v.denominator > WITNESS_MAX_DENOMINATOR:
-        raise VotingError(
+        raise TooLarge(
             f"witness fraction denominator {v.denominator} exceeds "
             f"the {WITNESS_MAX_DENOMINATOR} guard"
         )

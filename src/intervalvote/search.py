@@ -16,7 +16,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import (
     AnonProfile,
@@ -54,6 +54,7 @@ from .axioms import (
 )
 from .rules import (
     ONE_HALF,
+    WITNESS_MAX_DENOMINATOR,
     PositionThresholdRule,
     ThresholdVector,
     WeightVector,
@@ -67,8 +68,6 @@ DEFAULT_BUDGET = 1_000_000
 SAMPLE_DRAWS_PER_PAIR = 2000
 # largest denominator of a randomly drawn weight or threshold
 SAMPLE_MAX_DENOMINATOR = 12
-# largest denominator of the constant vectors `fit_fixed_rule_to_winners` scans
-FIT_MAX_DENOMINATOR = 16
 
 
 class UnsupportedAxiom(VotingError):
@@ -94,7 +93,10 @@ class SearchBounds:
 
 def enumeration_budget() -> int:
     raw = os.environ.get(BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    with decoding(BUDGET_ENV):
+        return int(raw)
 
 
 def profile_count(m: int, n: int) -> int:
@@ -437,13 +439,20 @@ def falsify(f: RuleFn, axiom: str, bounds: SearchBounds) -> Campaign:
 
 
 def _fraction_strictly_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """Smallest-total w1/(w1+w2) strictly between lo and hi."""
-    for total in itertools.count(2):
-        for w1 in range(1, total):
-            frac = Fraction(w1, total)
-            if lo < frac < hi:
-                return frac
-    raise AssertionError("unreachable")
+    """Smallest-total w1/(w1+w2) strictly between lo and hi, for
+    0 <= lo < hi <= 1; the least w1 with w1/total > lo is
+    floor(lo * total) + 1.  Raises TooLarge when the total, the voter
+    count of the witness built from it, would exceed
+    WITNESS_MAX_DENOMINATOR."""
+    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    for total in range(2, WITNESS_MAX_DENOMINATOR + 1):
+        w1 = a * total // b + 1
+        if w1 * d < c * total:
+            return Fraction(w1, total)
+    raise TooLarge(
+        f"no fraction strictly between {lo} and {hi} has a denominator "
+        f"within the {WITNESS_MAX_DENOMINATOR} guard"
+    )
 
 
 def theorem2_uniqueness_witness(
@@ -455,7 +464,9 @@ def theorem2_uniqueness_witness(
     Threshold deviations yield majority-criterion violations via a
     two-bloc singleton profile; weight deviations yield strong-unanimity
     violations via a shared-alternative profile.  Every witness is
-    confirmed by the corresponding checker before being returned.
+    confirmed by the corresponding checker before being returned.  A
+    two-bloc total or a straddling bloc above WITNESS_MAX_DENOMINATOR
+    voters is refused with TooLarge before its profile is built.
     """
     m = rule.m
     f = RuleFn.from_ptr(rule)
@@ -495,6 +506,11 @@ def theorem2_uniqueness_witness(
             delta = a - ONE_HALF
             t = int(ONE_HALF / delta) + 1  # smallest t with t*delta > 1/2
             lone = Interval(i + 1, i + 1)
+        if t > WITNESS_MAX_DENOMINATOR:
+            raise TooLarge(
+                f"strong-unanimity witness for alpha_{i} = {a} needs {t} "
+                f"straddling voters, above the {WITNESS_MAX_DENOMINATOR} guard"
+            )
         voters = {k: Interval(i, i + 1) for k in range(1, t + 1)}
         voters[t + 1] = lone
         p = Profile(m, voters)
@@ -506,59 +522,59 @@ def theorem2_uniqueness_witness(
 
 
 # ---------------------------------------------------------------------------
-# fixed-vector inconsistency of the profile-dependent fixture
+# fixed-vector inconsistency
 
 
-def remark_scaled_triple(m: int = 2) -> tuple[Profile, Profile, Profile]:
-    """Three four-voter profiles over {x_1, x_2} that the
-    profile-dependent-alpha fixture decides inconsistently with every
-    fixed weight/threshold pair."""
+def remark_scaled_triple() -> tuple[Profile, Profile, Profile]:
+    """Three four-voter profiles over {x_1, x_2} on which the
+    profile-dependent-alpha fixture elects (x_1, x_1, x_2), which no fixed
+    weight/threshold pair reproduces."""
     single1, single2, both = Interval(1, 1), Interval(2, 2), Interval(1, 2)
-    pa = Profile(m, {1: single1, 2: single1, 3: single2, 4: single2})
-    pb = Profile(m, {1: both, 2: both, 3: both, 4: both})
-    pc = Profile(m, {1: both, 2: both, 3: single1, 4: single2})
+    pa = Profile(2, {1: single1, 2: single1, 3: single2, 4: single2})
+    pb = Profile(2, {1: both, 2: both, 3: both, 4: both})
+    pc = Profile(2, {1: both, 2: both, 3: single1, 4: single2})
     return pa, pb, pc
 
 
-def fixed_rule_infeasible_for_triple(
-    winners: tuple[int, int, int]
-) -> bool:
-    """Replay the inequality chain showing no fixed (beta, phi) threshold
-    rule reproduces the triple's winners (x_1, x_1, x_2).
+def inconsistent_alternative(
+    m: int, observations: Iterable[tuple[Profile, int]]
+) -> Optional[int]:
+    """The least k in 1..m-1 for which no (alpha_k, theta_k) in
+    [0, 1] x (0, 1) passes every observed winner's test at x_k, or None.
 
-    From the singleton profile, winner x_1 forces phi_1 <= 1/2.  From the
-    all-{x_1,x_2} profile, winner x_1 forces beta_1 >= phi_1.  From the
-    mixed profile, winner x_2 needs 1 + 2*beta_1 < 4*phi_1, hence
-    phi_1 > 1/2 after substituting beta_1 >= phi_1 -- contradiction.
+    With Pi(x_k) / n = (R_k + alpha_k * (L_k - R_k)) / n, an observed
+    winner w of p needs theta_k > Pi(x_k) / n at each k < w and
+    theta_k <= Pi(x_k) / n at k = w.  Every lower bound is strict, so
+    eliminating theta_k leaves one strict linear inequality in alpha_k
+    per pair of a lower and an upper bound, intersected with [0, 1]
+    exactly.  The alternatives decouple, so an answer k proves that no
+    position-threshold rule, compatible or not, reproduces the
+    observations.  At m = 2 None is exact as well.
     """
-    if winners != (1, 1, 2):
-        return False
-    phi_upper = ONE_HALF  # from profile A: 2 >= 4*phi_1
-    # from C with beta_1 >= phi_1: 4*phi_1 > 1 + 2*beta_1 >= 1 + 2*phi_1
-    phi_lower_exclusive = ONE_HALF  # 2*phi_1 > 1
-    return phi_lower_exclusive >= phi_upper  # feasible region is empty
-
-
-def fit_fixed_rule_to_winners(
-    m: int, observations: list[tuple[Profile, int]]
-) -> Optional[PositionThresholdRule]:
-    """Brute-force search for a fixed-vector rule matching all observed
-    winners; None when the grid is exhausted.  Only constant vectors are
-    scanned, which suffices for two-alternative instances."""
-    values = sorted(
-        {
-            Fraction(num, den)
-            for den in range(1, FIT_MAX_DENOMINATOR + 1)
-            for num in range(0, den + 1)
-        }
-    )
-    inner = [v for v in values if 0 < v < 1]
-    for phi in inner:
-        for beta in values:
-            rule = PositionThresholdRule.make_unchecked(
-                WeightVector.constant(m, beta),
-                ThresholdVector.constant(m, phi),
-            )
-            if all(rule.winner(p) == w for p, w in observations):
-                return rule
+    # per k, the lines (c0, c1) bounding theta_k from below (from
+    # theta_k > 0 on) and from above (from theta_k < 1 on)
+    lower = [{(0, 0)} for _ in range(m)]
+    upper = [{(1, 0)} for _ in range(m)]
+    for p, w in observations:
+        lefts, rights = endpoint_histogram(p, m)
+        left = right = 0
+        for k in range(1, min(w, m - 1) + 1):
+            left += lefts[k]
+            right += rights[k]
+            line = (Fraction(right, p.n), Fraction(left - right, p.n))
+            (upper if k == w else lower)[k].add(line)
+    for k in range(1, m):
+        lo, hi = Fraction(-1), Fraction(2)  # strict bounds, outside [0, 1]
+        for c0, c1 in lower[k]:
+            for d0, d1 in upper[k]:
+                # c0 + c1 * alpha < d0 + d1 * alpha
+                slope, gap = c1 - d1, d0 - c0
+                if slope > 0:
+                    hi = min(hi, gap / slope)
+                elif slope < 0:
+                    lo = max(lo, gap / slope)
+                elif gap <= 0:
+                    return k
+        if not (lo < hi and lo < 1 and hi > 0):  # no alpha_k in [0, 1]
+            return k
     return None

@@ -37,9 +37,8 @@ from intervalvote.search import (
     SearchBounds,
     enumerate_profiles,
     falsify,
-    fit_fixed_rule_to_winners,
-    fixed_rule_infeasible_for_triple,
     fixture,
+    inconsistent_alternative,
     random_profile,
     remark_scaled_triple,
     sample_vector_pairs,
@@ -200,9 +199,10 @@ def test_criterion_7_uniqueness_witness_grid():
 
 
 def test_criterion_8_independence_scorecard():
-    """Each counterexample rule fails exactly its designated axiom; the
-    profile-dependent rule additionally defeats every fixed vector pair
-    on its scaled-down three-profile instance."""
+    """Each counterexample rule fails exactly its designated axiom; no
+    fixed vector pair reproduces the profile-dependent rule's winners on
+    its scaled-down three-profile instance, nor at m = 3 on every profile
+    with at most four voters."""
     designated = {
         "constant": "unanimity",
         "strict-threshold": "continuity",
@@ -226,13 +226,19 @@ def test_criterion_8_independence_scorecard():
         assert campaign.violation is None and campaign.undetermined == 0, axiom
         assert_has_evidence(campaign, "profile-dependent-alpha", axiom)
 
-    pa, pb, pc = remark_scaled_triple()
+    triple = remark_scaled_triple()
     g2 = fixture("profile-dependent-alpha", 2)
-    winners = (g2(pa), g2(pb), g2(pc))
+    winners = tuple(map(g2, triple))
     assert winners == (1, 1, 2)
-    assert fixed_rule_infeasible_for_triple(winners)
-    assert fit_fixed_rule_to_winners(2, list(zip((pa, pb, pc), winners))) is None
-    report(8, "4 fixtures fail only their designated axiom; fixed-vector fit infeasible")
+    assert inconsistent_alternative(2, zip(triple, winners)) == 1
+    profiles = list(identified_profiles(3, 4))
+    assert inconsistent_alternative(3, [(p, g(p)) for p in profiles]) == 1
+    report(
+        8,
+        "4 fixtures fail only their designated axiom; no fixed vector pair "
+        "reproduces the profile-dependent rule at x_1 (the triple at m=2, "
+        f"{len(profiles)} profiles at m=3)",
+    )
 
 
 def test_criterion_9_oracle_equivalence():

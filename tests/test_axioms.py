@@ -491,3 +491,14 @@ class TestReplay:
     def test_unknown_axiom(self):
         with pytest.raises(VotingError):
             replay_violation(em(2), {"axiom": "mystery", "witness": {}})
+
+    def test_robustness_replay_makes_the_checker_calls(self):
+        # decoding the witness's voter and side evaluates the rule no more
+        f = RuleFn(3, lambda p: 3 if p.interval(1).left > 1 else 1, name="jumpy")
+        p = Profile(3, {1: Interval(1, 3)})
+        witness = check_robustness(f, p).violation.to_json()
+        checker, checked = recorded(f)
+        check_robustness(checker, p)
+        replayer, replayed = recorded(f)
+        assert replay_violation(replayer, witness)
+        assert replayed == checked

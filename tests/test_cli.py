@@ -205,6 +205,37 @@ class TestMalformedInput:
         assert code == EXIT_PARSE
         assert "error: malformed violation: unhashable type" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "voter, side, message",
+        [
+            (7, "left", "error: no voter 7"),
+            ([1], "left", "error: malformed violation: unhashable type"),
+            (1, "up", "error: robustness witness side must be 'left' or 'right', got 'up'"),
+        ],
+    )
+    def test_replay_robustness_witness_fields(self, capsys, files, em_rule, voter, side, message):
+        witness = files("w.json", {
+            "axiom": "robustness",
+            "witness": {
+                "profile": {"m": 4, "voters": [{"id": 1, "interval": [1, 2]}]},
+                "voter": voter,
+                "side": side,
+            },
+        })
+        code = main(["audit", "--rule", em_rule, "--replay", witness])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+
+    def test_non_numeric_budget(self, capsys, em_rule, monkeypatch):
+        monkeypatch.setenv("INTERVAL_VOTE_BUDGET", "abc")
+        code = main(["audit", "--rule", em_rule, "--axiom", "robustness"])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed INTERVAL_VOTE_BUDGET: invalid literal")
+
     def test_unknown_fixture(self, capsys):
         code = main(["audit", "--fixture", "coin-flip", "--m", "3", "--axiom", "unanimity"])
         assert code == EXIT_PARSE
@@ -495,6 +526,17 @@ class TestWitnessCommand:
         assert data["kind"] == "robustness-violation"
         assert data["side"] in ("left", "right")
 
+    def test_compat_denominator_above_guard(self, capsys, files):
+        rule = files(
+            "inc.json",
+            {"m": 3, "theta": ["500000/1000001"] * 3, "alpha": ["3/4", "1/4", "1/4"]},
+        )
+        code = main(["witness", "--rule", rule, "--kind", "compat"])
+        assert code == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: witness fraction denominator 3000003")
+
     def test_compat_none(self, capsys, em_rule):
         code, out = run(capsys, "witness", "--rule", em_rule, "--kind", "compat")
         assert code == EXIT_OK
@@ -512,6 +554,31 @@ class TestWitnessCommand:
         code, out = run(capsys, "witness", "--rule", rule, "--kind", "theorem2")
         assert code == EXIT_OK
         assert json.loads(out)["kind"] == "majority-criterion"
+
+    def test_theorem2_threshold_near_one_half(self, capsys, files):
+        # the closest split above 1/2 and below 5001/10000 is 2501 of 5001
+        theta = ["5001/10000", "1/3"]
+        rule = files("near.json", {"m": 2, "theta": theta, "alpha": ["1/2"] * 2})
+        code, out = run(capsys, "witness", "--rule", rule, "--kind", "theorem2")
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert data["kind"] == "majority-criterion"
+        assert len(data["profile"]["voters"]) == 5001
+        witness = files("w.json", data["violation"])
+        code, out = run(capsys, "audit", "--rule", rule, "--replay", witness)
+        assert code == EXIT_VIOLATION
+        assert json.loads(out)["replayed"] is True
+
+    def test_theorem2_total_above_guard(self, capsys, files):
+        # the closest split above 1/2 and below 500000/999999 has
+        # WITNESS_MAX_DENOMINATOR + 1 = 1000001 voters
+        theta = ["500000/999999", "1/3"]
+        rule = files("near.json", {"m": 2, "theta": theta, "alpha": ["1/2"] * 2})
+        code = main(["witness", "--rule", rule, "--kind", "theorem2"])
+        assert code == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no fraction strictly between 1/2 and 500000/999999")
 
 
 class TestOracleMedian:

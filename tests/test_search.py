@@ -8,11 +8,12 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from intervalvote.core import AnonProfile, Interval, Profile, VotingError, anonymize
 from intervalvote.rules import (
+    WITNESS_MAX_DENOMINATOR,
     PositionThresholdRule,
     ThresholdVector,
     WeightVector,
@@ -25,6 +26,7 @@ from intervalvote.axioms import (
     check_strong_unanimity,
     replay_violation,
 )
+import intervalvote.search as search
 from intervalvote.search import (
     AXIOM_TAGS,
     AXIOMS,
@@ -33,12 +35,12 @@ from intervalvote.search import (
     TooLarge,
     UnsupportedAxiom,
     _disjoint_pairs,
+    _fraction_strictly_between,
     _identified_profiles,
     enumerate_profiles,
     falsify,
-    fit_fixed_rule_to_winners,
-    fixed_rule_infeasible_for_triple,
     fixture,
+    inconsistent_alternative,
     profile_count,
     random_profile,
     remark_scaled_triple,
@@ -329,7 +331,48 @@ class TestFixtures:
         assert f(p) == 2
 
 
+def _no_profile(*args, **kwargs):
+    raise AssertionError("a witness profile was built")
+
+
 class TestTheorem2Witness:
+    @given(st.integers(2, 40).flatmap(
+        lambda d: st.tuples(st.integers(1, d - 1), st.just(d))
+    ))
+    def test_fraction_between_matches_definition(self, ratio):
+        t = Fraction(*ratio)
+        assume(t != HALF)
+        lo, hi = sorted((t, HALF))
+        first = next(
+            Fraction(w1, total)
+            for total in itertools.count(2)
+            for w1 in range(1, total)
+            if lo < Fraction(w1, total) < hi
+        )
+        assert _fraction_strictly_between(lo, hi) == first
+
+    def test_threshold_total_refused_before_any_profile(self, monkeypatch):
+        # the smallest split strictly between 1/2 and 500000/999999 is
+        # 500001/1000001, one voter above the guard
+        monkeypatch.setattr(search, "Profile", _no_profile)
+        rule = PositionThresholdRule.make_unchecked(
+            WeightVector.constant(2, HALF),
+            ThresholdVector(2, (Fraction(500000, 999999), Fraction(1, 3))),
+        )
+        with pytest.raises(TooLarge, match=f"within the {WITNESS_MAX_DENOMINATOR} guard"):
+            theorem2_uniqueness_witness(rule)
+
+    def test_weight_bloc_refused_before_any_profile(self, monkeypatch):
+        # alpha_1 = 1/2 - 10**-6: the smallest t with t * 10**-6 > 1 is
+        # 10**6 + 1, one straddling voter above the guard
+        monkeypatch.setattr(search, "Profile", _no_profile)
+        rule = PositionThresholdRule.make_unchecked(
+            WeightVector(2, (HALF - Fraction(1, 10**6), HALF)),
+            ThresholdVector.constant(2, HALF),
+        )
+        with pytest.raises(TooLarge, match=f"needs {WITNESS_MAX_DENOMINATOR + 1} straddling"):
+            theorem2_uniqueness_witness(rule)
+
     def test_endpoint_median_has_none(self):
         for m in (2, 3, 4):
             assert theorem2_uniqueness_witness(endpoint_median_rule(m)) is None
@@ -401,18 +444,78 @@ class TestFixedRuleInfeasibility:
         f = fixture("profile-dependent-alpha", 2)
         assert (f(pa), f(pb), f(pc)) == (1, 1, 2)
 
-    def test_inequality_chain(self):
-        assert fixed_rule_infeasible_for_triple((1, 1, 2))
-        assert not fixed_rule_infeasible_for_triple((1, 1, 1))
+    def test_triple(self):
+        # (x_1, x_1) on pa, pb bound theta_1 <= 1/2 and theta_1 <= alpha_1;
+        # x_2 on pc needs theta_1 > 1/4 + alpha_1 / 2: alpha_1 < 1/2 < alpha_1
+        triple = remark_scaled_triple()
+        assert inconsistent_alternative(2, zip(triple, (1, 1, 2))) == 1
+        assert inconsistent_alternative(2, zip(triple, (1, 1, 1))) is None
 
-    def test_no_grid_rule_fits(self):
-        pa, pb, pc = remark_scaled_triple()
-        f = fixture("profile-dependent-alpha", 2)
-        observations = [(pa, f(pa)), (pb, f(pb)), (pc, f(pc))]
-        assert fit_fixed_rule_to_winners(2, observations) is None
-
-    def test_grid_search_can_fit_consistent_winners(self):
-        pa, pb, pc = remark_scaled_triple()
+    def test_endpoint_median_winners_on_triple(self):
         g = RuleFn.from_ptr(endpoint_median_rule(2))
-        observations = [(pa, g(pa)), (pb, g(pb)), (pc, g(pc))]
-        assert fit_fixed_rule_to_winners(2, observations) is not None
+        observations = [(p, g(p)) for p in remark_scaled_triple()]
+        assert inconsistent_alternative(2, observations) is None
+
+    @pytest.mark.parametrize(
+        "observations",
+        [
+            # theta_1 < 1: a lone {x_1} voter electing x_2 needs theta_1 > 1
+            [((Interval(1, 1),), 2)],
+            # alpha_1 <= 1: theta_1 > 1/2 and theta_1 <= alpha_1 / 3
+            [
+                ((Interval(1, 1), Interval(2, 2)), 2),
+                ((Interval(1, 2), Interval(2, 2), Interval(2, 2)), 1),
+            ],
+            # alpha_1 >= 0: theta_1 > 1/2 + alpha_1 / 2 and
+            # theta_1 <= 1/2 + alpha_1 / 4
+            [
+                ((Interval(1, 1), Interval(1, 2)), 2),
+                ((Interval(1, 1), Interval(1, 1), Interval(1, 2), Interval(2, 2)), 1),
+            ],
+        ],
+    )
+    def test_outside_the_box(self, observations):
+        profiles = [
+            (Profile(2, dict(enumerate(ballots, 1))), w) for ballots, w in observations
+        ]
+        assert inconsistent_alternative(2, profiles) == 1
+
+    def test_least_inconsistent_alternative(self):
+        # the triple moved onto {x_2, x_3}: every test at x_1 fails, which
+        # any theta_1 above 0 allows, and x_2 is inconsistent as x_1 was
+        single2, single3, both = Interval(2, 2), Interval(3, 3), Interval(2, 3)
+        triple = (
+            Profile(3, {1: single2, 2: single2, 3: single3, 4: single3}),
+            Profile(3, {1: both, 2: both, 3: both, 4: both}),
+            Profile(3, {1: both, 2: both, 3: single2, 4: single3}),
+        )
+        assert inconsistent_alternative(3, zip(triple, (2, 2, 3))) == 2
+        assert inconsistent_alternative(3, zip(triple, (2, 2, 2))) is None
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_sampled_rules_fit_their_own_winners(self, m):
+        pairs = sample_vector_pairs(m, 5, seed=41, compatible=True)
+        if m > 2:  # every pair is compatible at m = 2
+            pairs += sample_vector_pairs(m, 5, seed=42, compatible=False)
+        profiles = list(_identified_profiles(m, 3))
+        for alpha, theta in pairs:
+            rule = PositionThresholdRule.make_unchecked(alpha, theta)
+            observations = [(p, rule.winner(p)) for p in profiles]
+            assert inconsistent_alternative(m, observations) is None, (alpha, theta)
+
+    @pytest.mark.parametrize(
+        "tag, k",
+        [
+            ("constant", 1),
+            # the limit of an open region of threshold rules, so no finite
+            # set of profiles separates it from them
+            ("strict-threshold", None),
+            ("log-parity", 1),
+            ("even-voter-doubled", 1),
+            ("profile-dependent-alpha", 1),
+        ],
+    )
+    def test_fixtures_at_m3(self, tag, k):
+        f = fixture(tag, 3)
+        observations = [(p, f(p)) for p in _identified_profiles(3, 4)]
+        assert inconsistent_alternative(3, observations) == k
