@@ -96,6 +96,19 @@ def _scan_result(violations: list[Violation]) -> CheckResult:
     return CheckResult(VIOLATION, violations[0], violations=tuple(violations))
 
 
+def robustness_violation(
+    p: Profile, voter: VoterId, side: str, before: int, after: int
+) -> Violation:
+    """The robustness violation of deleting `voter`'s `side` endpoint in
+    `p`, which moved the winner from `before` to `after`."""
+    return Violation(
+        axiom="robustness",
+        witness={"profile": p.to_json(), "voter": voter, "side": side},
+        observed={"before": before, "after": after},
+        required="winner unchanged, or moved one step off the deleted endpoint",
+    )
+
+
 def check_robustness(f: RuleFn, p: Profile) -> CheckResult:
     """Deleting a voter's extreme alternative must keep the winner or
     move it one step inward from that extreme."""
@@ -107,21 +120,8 @@ def check_robustness(f: RuleFn, p: Profile) -> CheckResult:
             continue
         for side in ("left", "right"):
             after = f(delete_endpoint(p, voter, side))
-            if robust_step(iv, side, before, after):
-                continue
-            violations.append(
-                Violation(
-                    axiom="robustness",
-                    witness={
-                        "profile": p.to_json(),
-                        "voter": voter,
-                        "side": side,
-                    },
-                    observed={"before": before, "after": after},
-                    required="winner unchanged, or moved one step off the "
-                    "deleted endpoint",
-                )
-            )
+            if not robust_step(iv, side, before, after):
+                violations.append(robustness_violation(p, voter, side, before, after))
     return _scan_result(violations)
 
 

@@ -3,7 +3,8 @@
 All structured output is JSON on stdout (rationals as "p/q" strings);
 errors go to stderr.  Exit codes: 0 success / clean sweep, 1 violation
 or disagreement found, 2 parse failure, 3 incompatible rule without
---unchecked, 4 undetermined instances, 5 enumeration budget exceeded.
+--unchecked, 4 undetermined instances, 5 an enumeration budget or a
+size guard exceeded.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .rules import (
     decompose_interval,
     endpoint_median_oracle,
     endpoint_median_rule,
-    incompatibility_witness,
     collective_positions,
     vectors_from_json,
 )
@@ -36,6 +36,7 @@ from .search import (
     enumerate_profiles,
     falsify,
     fixture,
+    incompatibility_witness,
     profile_count,
     theorem2_uniqueness_witness,
 )
@@ -91,7 +92,10 @@ def _load_rule_fn(args, m: Optional[int] = None) -> RuleFn:
         return fixture(tag, m, params)
     if not args.rule:
         raise VotingError("one of --rule or --fixture is required")
-    return RuleFn.from_ptr(_load_ptr(args))
+    rule = _load_ptr(args)
+    if m is not None and m != rule.m:
+        raise VotingError(f"--m {m} does not match the rule file's m={rule.m}")
+    return RuleFn.from_ptr(rule)
 
 
 def _load_ptr(args) -> PositionThresholdRule:
@@ -196,36 +200,15 @@ def cmd_falsify(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    """Print the witness as a violation that `audit --replay` reads, or
+    "none"."""
     alpha, theta = vectors_from_json(_load_json(args.rule))
     if args.kind == "compat":
-        found = incompatibility_witness(alpha, theta)
-        if found is None:
-            _emit("none", args.pretty)
-            return EXIT_OK
-        _emit(
-            {
-                "kind": "robustness-violation",
-                "profile": found.profile.to_json(),
-                "voter": found.voter,
-                "side": found.side,
-            },
-            args.pretty,
-        )
-        return EXIT_OK
-    rule = PositionThresholdRule.make_unchecked(alpha, theta)
-    result = theorem2_uniqueness_witness(rule)
-    if result is None:
-        _emit("none", args.pretty)
-        return EXIT_OK
-    profile, axiom, violation = result
-    _emit(
-        {
-            "kind": axiom,
-            "profile": profile.to_json(),
-            "violation": violation.to_json(),
-        },
-        args.pretty,
-    )
+        violation = incompatibility_witness(alpha, theta)
+    else:
+        rule = PositionThresholdRule.make_unchecked(alpha, theta)
+        violation = theorem2_uniqueness_witness(rule)
+    _emit("none" if violation is None else violation.to_json(), args.pretty)
     return EXIT_OK
 
 
@@ -274,7 +257,10 @@ def _add_rule_flags(sub, fixture_allowed: bool = True) -> None:
 
 
 def _add_campaign_flags(sub) -> None:
-    sub.add_argument("--m", type=int, help="alternative count for fixture rules")
+    sub.add_argument(
+        "--m", type=int, help="alternative count: required with --fixture, "
+        "must equal the m of a --rule file"
+    )
     sub.add_argument("--n-max", type=int, default=SearchBounds.n_max, dest="n_max")
     sub.add_argument(
         "--lambda-max", type=int, default=SearchBounds.lambda_max, dest="lambda_max"

@@ -1,6 +1,7 @@
 """Position-threshold rules: position functions, winner selection, the
-weight/threshold compatibility test, interval decomposition, and the
-counterexample constructions used when the test fails.
+weight/threshold compatibility test and interval decomposition.  When
+the test fails, `search.incompatibility_witness` builds the robustness
+violation it predicts.
 
 Conventions: the winner is the smallest index i with
 Pi_alpha(profile, x_i) >= theta_i * n, compared exactly (ties count as
@@ -39,22 +40,15 @@ from .core import (
     InvalidAlternative,
     InvalidAlternativeCount,
     Profile,
-    TooLarge,
-    VoterId,
     VotingError,
     canonical_intervals,
     decoding,
-    delete_endpoint,
     json_int,
     parse_rational,
     render_rational,
-    robust_step,
 )
 
 ONE_HALF = Fraction(1, 2)
-# `incompatibility_witness` builds a profile with as many voters as this
-# denominator, so it refuses larger ones
-WITNESS_MAX_DENOMINATOR = 10**6
 
 
 class IncompatibleRule(VotingError):
@@ -418,83 +412,3 @@ def is_weakly_efficient_thresholds(theta: ThresholdVector) -> bool:
     """True iff theta_1 = ... = theta_{m-1} (theta_m exempt)."""
     head = theta.theta[: theta.m - 1]
     return all(t == head[0] for t in head)
-
-
-@dataclass(frozen=True)
-class RobustnessWitness:
-    """A concrete endpoint deletion that breaks robustness."""
-
-    profile: Profile
-    voter: VoterId
-    side: str
-
-
-def incompatibility_witness(
-    alpha: WeightVector, theta: ThresholdVector
-) -> Optional[RobustnessWitness]:
-    """Build a robustness violation for an incompatible vector pair.
-
-    Returns None when the vectors are compatible.  Otherwise constructs
-    a profile on which the induced threshold rule elects x_i, walks a
-    chain of single-endpoint modifications to a profile whose winner is
-    right of x_{i+1}, and returns the first step whose robustness
-    disjunction fails.  The witness is re-verified before being
-    returned.
-    """
-    ok, idx = check_compatible(alpha, theta)
-    if ok:
-        return None
-    assert idx is not None
-    i = idx  # 1-based, i <= m - 2
-    a_i = alpha.alpha[i - 1]
-    t_i = theta.theta[i - 1]
-    m = alpha.m
-    rule = PositionThresholdRule.make_unchecked(alpha, theta)
-
-    if a_i >= t_i:
-        v = t_i / a_i  # in (0, 1]
-        mover, anchor = Interval(i, i + 2), Interval(m, m)
-    else:
-        v = (1 - t_i) / (1 - a_i)  # in (0, 1)
-        mover, anchor = Interval(i, i + 2), Interval(i, i)
-    if v.denominator > WITNESS_MAX_DENOMINATOR:
-        raise TooLarge(
-            f"witness fraction denominator {v.denominator} exceeds "
-            f"the {WITNESS_MAX_DENOMINATOR} guard"
-        )
-    w1 = v.numerator
-    w2 = v.denominator - v.numerator
-
-    voters: dict[VoterId, Interval] = {}
-    for k in range(1, w1 + 1):
-        voters[k] = mover
-    for k in range(w1 + 1, w1 + w2 + 1):
-        voters[k] = anchor
-    p = Profile(m, voters)
-    assert rule.winner(p) == i
-
-    # Walk to the final profile one endpoint at a time; the chain must
-    # break somewhere since the final winner is right of x_{i+1}.
-    steps: list[tuple[Profile, VoterId, str]] = []
-    current = p
-    for k in range(1, w1 + 1):  # [x_i, x_{i+2}] -> [x_{i+1}, x_{i+2}]
-        steps.append((current, k, "left"))
-        current = delete_endpoint(current, k, "left")
-    if a_i < t_i:
-        for k in range(w1 + 1, w1 + w2 + 1):  # {x_i} -> {x_{i+1}}
-            expanded = current.with_interval(k, Interval(i, i + 1))
-            # deleting the right endpoint of the expanded interval
-            # recovers `current`, so robustness constrains this step too
-            steps.append((expanded, k, "right"))
-            steps.append((expanded, k, "left"))
-            current = delete_endpoint(expanded, k, "left")
-
-    for prof, voter, side in steps:
-        before = rule.winner(prof)
-        after = rule.winner(delete_endpoint(prof, voter, side))
-        if not robust_step(prof.interval(voter), side, before, after):
-            return RobustnessWitness(prof, voter, side)
-    raise AssertionError(
-        "incompatible vectors produced no robustness violation on the "
-        "constructed chain"
-    )

@@ -1,5 +1,6 @@
 """Profile generation, falsification campaigns, fixture rules, and the
-proof-derived uniqueness witnesses for the endpoint-median rule.
+proof-derived witnesses: the robustness violation of an incompatible
+vector pair and the uniqueness witnesses for the endpoint-median rule.
 
 Exhaustive sweeps run over identified profiles, built directly from each
 multiset of canonical intervals with integer ids in canonical order;
@@ -29,7 +30,10 @@ from .core import (
     anonymize,
     canonical_intervals,
     decoding,
+    delete_endpoint,
     interval_table,
+    robust_step,
+    table_interval,
 )
 from .axioms import (
     PASS,
@@ -51,13 +55,14 @@ from .axioms import (
     check_strong_uncompromisingness,
     check_unanimity,
     check_weak_efficiency,
+    robustness_violation,
 )
 from .rules import (
     ONE_HALF,
-    WITNESS_MAX_DENOMINATOR,
     PositionThresholdRule,
     ThresholdVector,
     WeightVector,
+    check_compatible,
     endpoint_histogram,
     endpoint_median_rule,
     scan_winner,
@@ -68,6 +73,9 @@ DEFAULT_BUDGET = 1_000_000
 SAMPLE_DRAWS_PER_PAIR = 2000
 # largest denominator of a randomly drawn weight or threshold
 SAMPLE_MAX_DENOMINATOR = 12
+# a witness profile has as many voters as the denominator of the share
+# it is built from, so larger ones are refused
+WITNESS_MAX_DENOMINATOR = 10**6
 
 
 class UnsupportedAxiom(VotingError):
@@ -164,8 +172,6 @@ def sample_vector_pairs(
     of compatible pairs falls about threefold per alternative (roughly
     1 in 700 at m = 10 and 1 in 14000 at m = 12).
     """
-    from .rules import check_compatible
-
     if m == 2 and not compatible:
         # check_compatible tests indices 1..m-2 only, so every pair at
         # m = 2 is compatible and rejection sampling would never end
@@ -435,7 +441,51 @@ def falsify(f: RuleFn, axiom: str, bounds: SearchBounds) -> Campaign:
 
 
 # ---------------------------------------------------------------------------
-# uniqueness witnesses for the endpoint-median characterization
+# proof-derived witnesses
+
+
+def incompatibility_witness(
+    alpha: WeightVector, theta: ThresholdVector
+) -> Optional[Violation]:
+    """A robustness violation of the threshold rule of an incompatible
+    vector pair, in the shape `check_robustness` reports; None when the
+    pair is compatible.
+
+    At the least violating index i, w1 voters report [x_i, x_{i+2}] and
+    w2 voters an anchor, {x_m} when alpha_i >= theta_i and {x_i}
+    otherwise, with w1 / (w1 + w2) = theta_i / alpha_i or
+    (1 - theta_i) / (1 - alpha_i).  Pi(x_i) then meets theta_i * n
+    exactly and x_i wins.  Deleting voter 1's left endpoint lowers
+    Pi(x_i) by alpha_i > 0 (alpha_i = 0 is compatible at i), and the
+    failed compatibility inequality at i makes the test at x_{i+1} fail
+    too, so the winner jumps past x_{i+1}.  The step is confirmed with
+    `robust_step` before it is returned.  A share whose denominator, the
+    witness's voter count, exceeds WITNESS_MAX_DENOMINATOR is refused
+    with TooLarge.
+    """
+    ok, i = check_compatible(alpha, theta)
+    if ok:
+        return None
+    m, a, t = alpha.m, alpha.alpha[i - 1], theta.theta[i - 1]
+    if a >= t:
+        share, anchor = t / a, table_interval(m, m, m)
+    else:
+        share, anchor = (1 - t) / (1 - a), table_interval(m, i, i)
+    if share.denominator > WITNESS_MAX_DENOMINATOR:
+        raise TooLarge(
+            f"witness fraction denominator {share.denominator} exceeds "
+            f"the {WITNESS_MAX_DENOMINATOR} guard"
+        )
+    w1, n = share.numerator, share.denominator
+    mover = table_interval(m, i, i + 2)
+    voters = dict.fromkeys(range(1, w1 + 1), mover)
+    voters.update(dict.fromkeys(range(w1 + 1, n + 1), anchor))
+    p = Profile._of(m, voters)
+    f = RuleFn.from_ptr(PositionThresholdRule.make_unchecked(alpha, theta))
+    before, after = f(p), f(delete_endpoint(p, 1, "left"))
+    if robust_step(mover, "left", before, after):
+        raise AssertionError(f"incompatible pair gave a robust step at index {i}")
+    return robustness_violation(p, 1, "left", before, after)
 
 
 def _fraction_strictly_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -455,11 +505,10 @@ def _fraction_strictly_between(lo: Fraction, hi: Fraction) -> Fraction:
     )
 
 
-def theorem2_uniqueness_witness(
-    rule: PositionThresholdRule,
-) -> Optional[tuple[Profile, str, Violation]]:
-    """For any threshold rule other than the all-1/2 one, build a profile
-    where it breaks the majority criterion or strong unanimity.
+def theorem2_uniqueness_witness(rule: PositionThresholdRule) -> Optional[Violation]:
+    """For any threshold rule other than the all-1/2 one, a violation of
+    the majority criterion or of strong unanimity; None for the all-1/2
+    rule.
 
     Threshold deviations yield majority-criterion violations via a
     two-bloc singleton profile; weight deviations yield strong-unanimity
@@ -490,7 +539,7 @@ def theorem2_uniqueness_witness(
         p = Profile(m, voters)
         result = check_majority_criterion(f, p)
         if result.status == VIOLATION:
-            return p, "majority-criterion", result.violation
+            return result.violation
 
     for i in range(1, m):  # alpha_m is inert
         a = alpha[i - 1]
@@ -516,7 +565,7 @@ def theorem2_uniqueness_witness(
         p = Profile(m, voters)
         result = check_strong_unanimity(f, p)
         if result.status == VIOLATION:
-            return p, "strong-unanimity", result.violation
+            return result.violation
 
     return None
 

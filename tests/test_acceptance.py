@@ -19,7 +19,6 @@ from intervalvote.rules import (
     collective_position_decomposed,
     endpoint_median_oracle,
     endpoint_median_rule,
-    incompatibility_witness,
     phantom_median_winner,
     ptr_winner,
 )
@@ -32,12 +31,14 @@ from intervalvote.axioms import (
     check_strategyproofness,
     check_strong_unanimity,
     check_strong_uncompromisingness,
+    replay_violation,
 )
 from intervalvote.search import (
     SearchBounds,
     enumerate_profiles,
     falsify,
     fixture,
+    incompatibility_witness,
     inconsistent_alternative,
     random_profile,
     remark_scaled_triple,
@@ -97,13 +98,9 @@ def test_criterion_3_incompatible_pairs_yield_witnesses():
     pairs = sample_vector_pairs(4, 50, seed=7, compatible=False)
     for alpha, theta in pairs:
         found = incompatibility_witness(alpha, theta)
-        assert found is not None
+        assert found.axiom == "robustness"
         f = RuleFn.from_ptr(PositionThresholdRule.make_unchecked(alpha, theta))
-        violations = check_robustness(f, found.profile).violations
-        assert any(
-            v.witness["voter"] == found.voter and v.witness["side"] == found.side
-            for v in violations
-        ), (alpha, theta)
+        assert replay_violation(f, found.to_json()), (alpha, theta)
     report(3, "50 incompatible pairs, 50 confirmed robustness violations")
 
 
@@ -181,9 +178,9 @@ def test_criterion_7_uniqueness_witness_grid():
                 rule = PositionThresholdRule.make_unchecked(
                     WeightVector.constant(m, HALF), _theta_deviation(m, i, d)
                 )
-                result = theorem2_uniqueness_witness(rule)
-                assert result is not None, (m, i, d, "theta")
-                assert result[1] == "majority-criterion"
+                violation = theorem2_uniqueness_witness(rule)
+                assert violation.axiom == "majority-criterion", (m, i, d, "theta")
+                assert replay_violation(RuleFn.from_ptr(rule), violation.to_json())
                 produced += 1
             for d in (Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(1)):
                 alpha = [HALF] * m
@@ -191,9 +188,9 @@ def test_criterion_7_uniqueness_witness_grid():
                 rule = PositionThresholdRule.make_unchecked(
                     WeightVector(m, tuple(alpha)), ThresholdVector.constant(m, HALF)
                 )
-                result = theorem2_uniqueness_witness(rule)
-                assert result is not None, (m, i, d, "alpha")
-                assert result[1] == "strong-unanimity"
+                violation = theorem2_uniqueness_witness(rule)
+                assert violation.axiom == "strong-unanimity", (m, i, d, "alpha")
+                assert replay_violation(RuleFn.from_ptr(rule), violation.to_json())
                 produced += 1
     report(7, f"{produced}/{produced} grid deviations produced confirmed witnesses")
 

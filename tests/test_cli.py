@@ -308,6 +308,21 @@ class TestMalformedInput:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "--axiom", "unanimity", "--n-max", "1"],
+            ["falsify", "--axioms", "unanimity", "--n-max", "1"],
+        ],
+    )
+    def test_m_differs_from_rule_file(self, capsys, em_rule, argv):
+        # the rule file has m = 4; the campaign must not run at it silently
+        code = main([*argv, "--rule", em_rule, "--unchecked", "--m", "5"])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --m 5 does not match the rule file's m=4\n"
+
 
 class TestForgedReplay:
     """A well-formed witness that the axiom's checker could not have
@@ -523,8 +538,29 @@ class TestWitnessCommand:
         code, out = run(capsys, "witness", "--rule", rule, "--kind", "compat")
         assert code == EXIT_OK
         data = json.loads(out)
-        assert data["kind"] == "robustness-violation"
-        assert data["side"] in ("left", "right")
+        assert data["axiom"] == "robustness"
+        assert (data["witness"]["voter"], data["witness"]["side"]) == (1, "left")
+        assert data["observed"] == {"before": 1, "after": 3}
+
+    @pytest.mark.parametrize(
+        "kind, theta, alpha, axiom",
+        [
+            ("compat", ["1/2"] * 3, ["3/4", "1/4", "1/4"], "robustness"),
+            ("compat", ["1/2"] * 4, ["1/4", "0", "0", "0"], "robustness"),
+            ("theorem2", ["1/3"] * 3, ["1/2"] * 3, "majority-criterion"),
+            ("theorem2", ["1/2"] * 3, ["3/4", "1/2", "1/2"], "strong-unanimity"),
+        ],
+    )
+    def test_witness_replays(self, capsys, files, kind, theta, alpha, axiom):
+        rule = files("r.json", {"m": len(theta), "theta": theta, "alpha": alpha})
+        code, out = run(capsys, "witness", "--rule", rule, "--kind", kind)
+        assert code == EXIT_OK
+        witness = files("w.json", json.loads(out))
+        code, out = run(
+            capsys, "audit", "--rule", rule, "--unchecked", "--replay", witness
+        )
+        assert code == EXIT_VIOLATION
+        assert json.loads(out) == {"replayed": True, "axiom": axiom}
 
     def test_compat_denominator_above_guard(self, capsys, files):
         rule = files(
@@ -553,7 +589,7 @@ class TestWitnessCommand:
         )
         code, out = run(capsys, "witness", "--rule", rule, "--kind", "theorem2")
         assert code == EXIT_OK
-        assert json.loads(out)["kind"] == "majority-criterion"
+        assert json.loads(out)["axiom"] == "majority-criterion"
 
     def test_theorem2_threshold_near_one_half(self, capsys, files):
         # the closest split above 1/2 and below 5001/10000 is 2501 of 5001
@@ -562,9 +598,9 @@ class TestWitnessCommand:
         code, out = run(capsys, "witness", "--rule", rule, "--kind", "theorem2")
         assert code == EXIT_OK
         data = json.loads(out)
-        assert data["kind"] == "majority-criterion"
-        assert len(data["profile"]["voters"]) == 5001
-        witness = files("w.json", data["violation"])
+        assert data["axiom"] == "majority-criterion"
+        assert len(data["witness"]["profile"]["voters"]) == 5001
+        witness = files("w.json", data)
         code, out = run(capsys, "audit", "--rule", rule, "--replay", witness)
         assert code == EXIT_VIOLATION
         assert json.loads(out)["replayed"] is True

@@ -1,6 +1,8 @@
 """Position-threshold rules: winners, compatibility, decomposition."""
 
+import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -25,13 +27,14 @@ from intervalvote.rules import (
     decompose_interval,
     endpoint_median_oracle,
     endpoint_median_rule,
-    incompatibility_witness,
     individual_position,
     is_weakly_efficient_thresholds,
     phantom_median_winner,
     ptr_winner,
 )
-from intervalvote.axioms import VIOLATION, RuleFn, check_robustness
+from intervalvote.axioms import RuleFn, check_robustness, replay_violation
+import intervalvote.search as search
+from intervalvote.search import incompatibility_witness
 
 HALF = Fraction(1, 2)
 
@@ -349,6 +352,19 @@ class TestDecomposition:
         )
 
 
+def replays(alpha, theta, violation) -> bool:
+    """Whether `violation`, through JSON, reproduces on the unchecked rule."""
+    f = RuleFn.from_ptr(PositionThresholdRule.make_unchecked(alpha, theta))
+    return replay_violation(f, json.loads(json.dumps(violation.to_json())))
+
+
+def left_deletion_witness(m, *intervals):
+    """The witness deleting voter 1's left endpoint, with voters 1, 2, ...
+    reporting `intervals` in order."""
+    voters = [{"id": v, "interval": list(iv)} for v, iv in enumerate(intervals, 1)]
+    return {"profile": {"m": m, "voters": voters}, "voter": 1, "side": "left"}
+
+
 class TestIncompatibilityWitness:
     def test_compatible_gives_none(self):
         assert (
@@ -362,23 +378,20 @@ class TestIncompatibilityWitness:
         alpha = WeightVector(3, (Fraction(3, 4), Fraction(1, 4), Fraction(1, 4)))
         theta = ThresholdVector.constant(3, HALF)
         found = incompatibility_witness(alpha, theta)
-        assert found is not None
+        assert found.witness == left_deletion_witness(3, (1, 3), (1, 3), (3, 3))
         rule = PositionThresholdRule.make_unchecked(alpha, theta)
-        violations = check_robustness(RuleFn.from_ptr(rule), found.profile).violations
-        assert any(
-            v.witness["voter"] == found.voter and v.witness["side"] == found.side
-            for v in violations
-        )
+        profile = Profile.from_json(found.witness["profile"])
+        # the violation check_robustness itself reports, observed included
+        assert found in check_robustness(RuleFn.from_ptr(rule), profile).violations
+        assert replays(alpha, theta, found)
 
     def test_witness_sharp_weight_drop(self):
-        # alpha = (1, 0, ...) with flat thresholds, Case 1 chain
+        # alpha = (1, 0, ...) with flat thresholds: {x_m} anchors the profile
         alpha = WeightVector(3, (Fraction(1), Fraction(0), Fraction(0)))
         theta = ThresholdVector.constant(3, HALF)
         found = incompatibility_witness(alpha, theta)
-        assert found is not None
-        rule = PositionThresholdRule.make_unchecked(alpha, theta)
-        result = check_robustness(RuleFn.from_ptr(rule), found.profile)
-        assert result.status == VIOLATION
+        assert found.witness == left_deletion_witness(3, (1, 3), (3, 3))
+        assert replays(alpha, theta, found)
 
     def test_zero_weights_decreasing_thresholds_compatible(self):
         # flat-zero weights never violate the slope bound: the right side
@@ -392,23 +405,55 @@ class TestIncompatibilityWitness:
 
     def test_witness_case2_with_decreasing_thresholds(self):
         # weight drop too steep for the threshold drop, with
-        # alpha_1 < theta_1 selecting the second construction
+        # alpha_1 < theta_1 anchoring the profile on {x_1}
         alpha = WeightVector(4, (HALF, Fraction(0), Fraction(0), Fraction(0)))
         theta = ThresholdVector(4, (Fraction(3, 5), HALF, HALF, HALF))
         ok, idx = check_compatible(alpha, theta)
         assert not ok and idx == 1
         found = incompatibility_witness(alpha, theta)
-        rule = PositionThresholdRule.make_unchecked(alpha, theta)
-        result = check_robustness(RuleFn.from_ptr(rule), found.profile)
-        assert result.status == VIOLATION
+        assert found.witness == left_deletion_witness(4, *[(1, 3)] * 4, (1, 1))
+        assert replays(alpha, theta, found)
 
     def test_witness_case_alpha_below_theta(self):
-        # alpha_1 < theta_1 exercises the expand-then-shrink chain
         alpha = WeightVector(4, (Fraction(1, 4), Fraction(0), Fraction(0), Fraction(0)))
         theta = ThresholdVector.constant(4, HALF)
         ok, idx = check_compatible(alpha, theta)
         assert not ok and idx == 1
         found = incompatibility_witness(alpha, theta)
-        rule = PositionThresholdRule.make_unchecked(alpha, theta)
-        result = check_robustness(RuleFn.from_ptr(rule), found.profile)
-        assert result.status == VIOLATION
+        assert found.witness == left_deletion_witness(4, (1, 3), (1, 3), (1, 1))
+        assert replays(alpha, theta, found)
+
+    def test_every_small_incompatible_pair_replays(self):
+        # alpha = (a1, a2, a2), theta = (t1, t2, t2) with denominators <= 6;
+        # only index 1 is tested at m = 3
+        weights = sorted({Fraction(p, q) for q in range(1, 7) for p in range(q + 1)})
+        thresholds = [w for w in weights if 0 < w < 1]
+        pairs = below = 0
+        for a1, a2, t1, t2 in product(weights, weights, thresholds, thresholds):
+            if t2 > t1:
+                continue
+            alpha = WeightVector(3, (a1, a2, a2))
+            theta = ThresholdVector(3, (t1, t2, t2))
+            found = incompatibility_witness(alpha, theta)
+            if found is None:
+                continue
+            assert replays(alpha, theta, found), (alpha, theta)
+            pairs += 1
+            below += a1 < t1
+        assert (pairs, below) == (2683, 555)
+
+    def test_one_endpoint_deletion(self, monkeypatch):
+        # w1 = 4000 voters on [x_1, x_3] and 2003 on {x_3}: the witness is
+        # the first deletion, not the end of a walk over all 4000
+        calls = []
+        delete = search.delete_endpoint
+        monkeypatch.setattr(
+            search, "delete_endpoint", lambda *args: calls.append(args) or delete(*args)
+        )
+        alpha = WeightVector(3, (Fraction(3, 4), Fraction(1, 4), Fraction(1, 4)))
+        found = incompatibility_witness(
+            alpha, ThresholdVector.constant(3, Fraction(1000, 2001))
+        )
+        assert len(calls) == 1
+        assert len(found.witness["profile"]["voters"]) == 6003
+        assert found.observed == {"before": 1, "after": 3}

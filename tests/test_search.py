@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from intervalvote.core import AnonProfile, Interval, Profile, VotingError, anonymize
 from intervalvote.rules import (
-    WITNESS_MAX_DENOMINATOR,
     PositionThresholdRule,
     ThresholdVector,
     WeightVector,
@@ -31,6 +30,7 @@ from intervalvote.search import (
     AXIOM_TAGS,
     AXIOMS,
     FIXTURE_TAGS,
+    WITNESS_MAX_DENOMINATOR,
     SearchBounds,
     TooLarge,
     UnsupportedAxiom,
@@ -382,10 +382,9 @@ class TestTheorem2Witness:
             WeightVector.constant(3, HALF),
             ThresholdVector(3, (HALF, Fraction(1, 3), Fraction(1, 3))),
         )
-        result = theorem2_uniqueness_witness(rule)
-        assert result is not None
-        profile, axiom, violation = result
-        assert axiom == "majority-criterion"
+        violation = theorem2_uniqueness_witness(rule)
+        assert violation.axiom == "majority-criterion"
+        profile = Profile.from_json(violation.witness["profile"])
         assert check_majority_criterion(RuleFn.from_ptr(rule), profile).status == "violation"
 
     def test_majority_witness_bloc_sizes(self):
@@ -395,10 +394,10 @@ class TestTheorem2Witness:
             WeightVector.constant(3, HALF),
             ThresholdVector.constant(3, Fraction(1, 3)),
         )
-        profile, axiom, _ = theorem2_uniqueness_witness(rule)
-        assert axiom == "majority-criterion"
+        violation = theorem2_uniqueness_witness(rule)
+        assert violation.axiom == "majority-criterion"
         ballots = sorted(
-            (iv.left, iv.right) for iv in profile.voters.values()
+            tuple(v["interval"]) for v in violation.witness["profile"]["voters"]
         )
         assert ballots == [(1, 1), (1, 1), (3, 3), (3, 3), (3, 3)]
 
@@ -409,10 +408,10 @@ class TestTheorem2Witness:
             WeightVector(3, (Fraction(1, 4), HALF, HALF)),
             ThresholdVector.constant(3, HALF),
         )
-        profile, axiom, _ = theorem2_uniqueness_witness(rule)
-        assert axiom == "strong-unanimity"
+        violation = theorem2_uniqueness_witness(rule)
+        assert violation.axiom == "strong-unanimity"
         ballots = sorted(
-            (iv.left, iv.right) for iv in profile.voters.values()
+            tuple(v["interval"]) for v in violation.witness["profile"]["voters"]
         )
         assert ballots == [(1, 1)] + [(1, 2)] * 5
 
@@ -421,10 +420,9 @@ class TestTheorem2Witness:
             WeightVector(3, (Fraction(3, 4), HALF, HALF)),
             ThresholdVector.constant(3, HALF),
         )
-        result = theorem2_uniqueness_witness(rule)
-        assert result is not None
-        profile, axiom, violation = result
-        assert axiom == "strong-unanimity"
+        violation = theorem2_uniqueness_witness(rule)
+        assert violation.axiom == "strong-unanimity"
+        profile = Profile.from_json(violation.witness["profile"])
         assert check_strong_unanimity(RuleFn.from_ptr(rule), profile).status == "violation"
 
     def test_witness_replays(self):
@@ -432,9 +430,7 @@ class TestTheorem2Witness:
             WeightVector.constant(4, HALF),
             ThresholdVector.constant(4, Fraction(2, 3)),
         )
-        result = theorem2_uniqueness_witness(rule)
-        assert result is not None
-        _, _, violation = result
+        violation = theorem2_uniqueness_witness(rule)
         assert replay_violation(RuleFn.from_ptr(rule), violation.to_json())
 
 
