@@ -9,6 +9,7 @@ apply; it is never counted as evidence for the rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
 from .core import (
@@ -22,6 +23,7 @@ from .core import (
     interval_table,
     json_int,
     replicate,
+    require_disjoint,
     robust_step,
     table_interval,
 )
@@ -31,7 +33,7 @@ from .preferences import (
     is_wsp_with_plateau,
     some_wsp_prefers,
 )
-from .rules import PositionThresholdRule, collective_positions
+from .rules import PositionThresholdRule
 
 PASS = "pass"
 VACUOUS = "vacuous"
@@ -82,17 +84,32 @@ class CheckResult:
     """What every checker returns.  `violation` is the first witness;
     checkers that scan several deviations of one instance (robustness,
     strategyproofness) also list every witness they found in
-    `violations`."""
+    `violations`.
+
+    A result that carries nothing but its status is one shared module
+    constant (`PASSED`, `VACUOUS_PASS`, and one pass per
+    strong-uncompromisingness condition in `CONDITION_PASSES`), so a
+    clean instance allocates no result.  Shared results must never be
+    mutated; their `detail` is a read-only mapping.
+    """
 
     status: str
     violation: Optional[Violation] = None
-    detail: dict = field(default_factory=dict)
+    detail: Mapping = field(default_factory=dict)
     violations: tuple[Violation, ...] = ()
+
+
+def _shared(status: str, **detail) -> CheckResult:
+    return CheckResult(status, detail=MappingProxyType(detail))
+
+
+PASSED = _shared(PASS)
+VACUOUS_PASS = _shared(VACUOUS)
 
 
 def _scan_result(violations: list[Violation]) -> CheckResult:
     if not violations:
-        return CheckResult(PASS)
+        return PASSED
     return CheckResult(VIOLATION, violations[0], violations=tuple(violations))
 
 
@@ -128,10 +145,10 @@ def check_robustness(f: RuleFn, p: Profile) -> CheckResult:
 def check_reinforcement(f: RuleFn, p1: Profile, p2: Profile) -> CheckResult:
     w1, w2 = f(p1), f(p2)
     if w1 != w2:
-        return CheckResult(VACUOUS)
+        return VACUOUS_PASS
     w = f(combine(p1, p2))
     if w == w1:
-        return CheckResult(PASS)
+        return PASSED
     return CheckResult(
         VIOLATION,
         Violation(
@@ -158,17 +175,17 @@ def check_unanimity(f: RuleFn, m: int, j: int, n_max: int = 5) -> CheckResult:
                     required=j,
                 ),
             )
-    return CheckResult(PASS)
+    return PASSED
 
 
 def check_strong_unanimity(f: RuleFn, p: Profile) -> CheckResult:
     lo = max(iv.left for iv in p.voters.values())
     hi = min(iv.right for iv in p.voters.values())
     if lo > hi:
-        return CheckResult(VACUOUS)
+        return VACUOUS_PASS
     w = f(p)
     if lo <= w <= hi:
-        return CheckResult(PASS)
+        return PASSED
     return CheckResult(
         VIOLATION,
         Violation(
@@ -188,7 +205,7 @@ def check_majority_criterion(f: RuleFn, p: Profile) -> CheckResult:
         if 2 * supporters > p.n:
             w = f(p)
             if w == j:
-                return CheckResult(PASS)
+                return PASSED
             return CheckResult(
                 VIOLATION,
                 Violation(
@@ -198,13 +215,13 @@ def check_majority_criterion(f: RuleFn, p: Profile) -> CheckResult:
                     required=j,
                 ),
             )
-    return CheckResult(VACUOUS)
+    return VACUOUS_PASS
 
 
 def check_weak_efficiency(f: RuleFn, p: Profile) -> CheckResult:
     w = f(p)
     if w in p.support():
-        return CheckResult(PASS)
+        return PASSED
     return CheckResult(
         VIOLATION,
         Violation(
@@ -227,7 +244,7 @@ def check_anonymity(
     q = Profile._of(p.m, renamed)
     w1, w2 = f(p), f(q)
     if w1 == w2:
-        return CheckResult(PASS)
+        return PASSED
     return CheckResult(
         VIOLATION,
         Violation(
@@ -256,8 +273,7 @@ def check_right_biased_continuity(
     is then p2 alone).  Exhausting lambda_max without success is
     reported as undetermined, not as a violation.
     """
-    if set(p1.voters) & set(p2.voters):
-        raise VotingError("profiles must be voter-disjoint")
+    require_disjoint(p1, p2)
     w1, w = f(p1), f(p2)
     case = "i" if w <= w1 else "ii"
     # the combined winner must land in [w1, hi]
@@ -313,6 +329,20 @@ def check_strategyproofness(f: RuleFn, p: Profile, voter: VoterId) -> CheckResul
     return _scan_result(violations)
 
 
+# the invariance clauses of strong uncompromisingness, in the order
+# `_uncompromising_condition` tests them, each with its shared pass
+CONDITION_PASSES = {
+    condition: _shared(PASS, condition=condition)
+    for condition in (
+        "interval-left-of-winner",
+        "interval-right-of-winner",
+        "winner-strictly-inside",
+        "winner-at-left-endpoint",
+        "winner-at-right-endpoint",
+    )
+}
+
+
 def _uncompromising_condition(
     winner: int, old: Interval, new: Interval
 ) -> Optional[str]:
@@ -344,10 +374,10 @@ def check_strong_uncompromisingness(
     winner = f(p)
     condition = _uncompromising_condition(winner, old, new_interval)
     if condition is None:
-        return CheckResult(VACUOUS)
+        return VACUOUS_PASS
     after = f(p.with_interval(voter, new_interval))
     if after == winner:
-        return CheckResult(PASS, detail={"condition": condition})
+        return CONDITION_PASSES[condition]
     return CheckResult(
         VIOLATION,
         Violation(
@@ -367,7 +397,7 @@ def check_strong_uncompromisingness(
 def check_shift_symmetry(f: RuleFn, p: Profile) -> CheckResult:
     """Shifting every interval one step right must shift the winner."""
     if any(iv.right >= p.m for iv in p.voters.values()):
-        return CheckResult(VACUOUS)
+        return VACUOUS_PASS
     shifted = Profile._of(
         p.m,
         {
@@ -377,7 +407,7 @@ def check_shift_symmetry(f: RuleFn, p: Profile) -> CheckResult:
     )
     w, ws = f(p), f(shifted)
     if ws == w + 1:
-        return CheckResult(PASS)
+        return PASSED
     return CheckResult(
         VIOLATION,
         Violation(
@@ -385,41 +415,6 @@ def check_shift_symmetry(f: RuleFn, p: Profile) -> CheckResult:
             witness={"profile": p.to_json()},
             observed=ws,
             required=w + 1,
-        ),
-    )
-
-
-def check_orientation_symmetry(
-    rule: PositionThresholdRule, p: Profile
-) -> CheckResult:
-    """Reversing the order of alternatives must mirror the winner.
-
-    Takes the rule's internals because the exception clause (an exactly
-    met threshold) is not observable from winners alone.
-    """
-    n = p.n
-    positions = collective_positions(rule.alpha, p)
-    for i, (pos, t) in enumerate(zip(positions, rule.theta.theta), 1):
-        if pos == t * n:
-            return CheckResult(VACUOUS, detail={"tied_alternative": i})
-    mirrored = Profile(
-        p.m,
-        {
-            v: Interval(p.m + 1 - iv.right, p.m + 1 - iv.left)
-            for v, iv in p.voters.items()
-        },
-    )
-    w = rule.winner(p)
-    wm = rule.winner(mirrored)
-    if wm == p.m + 1 - w:
-        return CheckResult(PASS)
-    return CheckResult(
-        VIOLATION,
-        Violation(
-            axiom="orientation-symmetry",
-            witness={"profile": p.to_json(), "rule": rule.to_json()},
-            observed=wm,
-            required=p.m + 1 - w,
         ),
     )
 
@@ -443,6 +438,7 @@ def _decode_replay(f: RuleFn, violation: dict) -> Callable[[], bool]:
     if axiom == "reinforcement":
         p1 = Profile.from_json(witness["profile1"])
         p2 = Profile.from_json(witness["profile2"])
+        require_disjoint(p1, p2)  # a pair no campaign could have built
         return lambda: check_reinforcement(f, p1, p2).status == VIOLATION
     if "profile" not in witness:
         raise VotingError(f"cannot replay {axiom!r}: witness has no profile")
@@ -500,9 +496,6 @@ def _decode_replay(f: RuleFn, violation: dict) -> Callable[[], bool]:
         check = lambda: check_strong_uncompromisingness(f, p, voter, new_iv)
     elif axiom == "shift-symmetry":
         check = lambda: check_shift_symmetry(f, p)
-    elif axiom == "orientation-symmetry":
-        rule = PositionThresholdRule.from_json(witness["rule"])
-        check = lambda: check_orientation_symmetry(rule, p)
     else:
         raise VotingError(f"cannot replay unknown axiom {axiom!r}")
     return lambda: check().status == VIOLATION

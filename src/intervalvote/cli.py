@@ -175,6 +175,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    if not (args.axiom or args.replay):
+        raise VotingError("one of --axiom or --replay is required")
     f = _load_rule_fn(args, m=args.m)
     if args.replay:
         violation = _load_json(args.replay)

@@ -10,7 +10,7 @@ evaluation.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
@@ -119,15 +119,8 @@ class Interval:
                 f"interval ({self.left}, {self.right}) exceeds m={m}"
             )
 
-    @property
-    def size(self) -> int:
-        return self.right - self.left + 1
-
     def is_singleton(self) -> bool:
         return self.left == self.right
-
-    def contains(self, k: int) -> bool:
-        return self.left <= k <= self.right
 
     def alternatives(self) -> range:
         return range(self.left, self.right + 1)
@@ -176,11 +169,13 @@ class Profile:
     `Profile(m, voters)` and `from_json` validate their input and copy
     the mapping.  Profiles derived from a valid one (an endpoint
     deletion, a combination, a replication, a campaign's enumeration)
-    are built with `Profile._of`, which trusts its input.
+    are built with `Profile._of`, which trusts its input.  Every
+    profile stores its voter count `n` when it is built.
     """
 
     m: int
     voters: Mapping[VoterId, Interval]
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 2:
@@ -189,7 +184,9 @@ class Profile:
             raise VotingError("profile must contain at least one voter")
         for iv in self.voters.values():
             iv.validate(self.m)
-        object.__setattr__(self, "voters", dict(self.voters))
+        voters = dict(self.voters)
+        object.__setattr__(self, "voters", voters)
+        object.__setattr__(self, "n", len(voters))
 
     @classmethod
     def _of(cls, m: int, voters: dict) -> "Profile":
@@ -200,11 +197,8 @@ class Profile:
         attrs = p.__dict__
         attrs["m"] = m
         attrs["voters"] = voters
+        attrs["n"] = len(voters)
         return p
-
-    @property
-    def n(self) -> int:
-        return len(self.voters)
 
     def interval(self, voter: VoterId) -> Interval:
         try:
@@ -255,6 +249,7 @@ class AnonProfile:
 
     m: int
     counts: tuple[int, ...]
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 2:
@@ -266,13 +261,11 @@ class AnonProfile:
             )
         if any(c < 0 for c in self.counts):
             raise VotingError("counts must be non-negative")
-        if sum(self.counts) < 1:
+        n = sum(self.counts)
+        if n < 1:
             raise VotingError("profile must contain at least one voter")
         object.__setattr__(self, "counts", tuple(self.counts))
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
+        object.__setattr__(self, "n", n)
 
     def items(self) -> Iterable[tuple[Interval, int]]:
         for iv, c in zip(canonical_intervals(self.m), self.counts):
@@ -321,13 +314,19 @@ def robust_step(iv: Interval, side: str, before: int, after: int) -> bool:
     return before == iv.right and after == iv.right - 1
 
 
-def combine(p1: Profile, p2: Profile) -> Profile:
-    """Voter-disjoint union of two profiles over the same alternatives."""
+def require_disjoint(p1: Profile, p2: Profile) -> None:
+    """Raise unless the two profiles are over the same alternatives and
+    share no voter id."""
     if p1.m != p2.m:
         raise MismatchedAlternatives(f"m mismatch: {p1.m} vs {p2.m}")
-    overlap = set(p1.voters) & set(p2.voters)
-    if overlap:
+    if not p1.voters.keys().isdisjoint(p2.voters):
+        overlap = p1.voters.keys() & p2.voters.keys()
         raise NotDisjoint(f"shared voter ids: {sorted(map(str, overlap))}")
+
+
+def combine(p1: Profile, p2: Profile) -> Profile:
+    """Voter-disjoint union of two profiles over the same alternatives."""
+    require_disjoint(p1, p2)
     merged = dict(p1.voters)
     merged.update(p2.voters)
     return Profile._of(p1.m, merged)

@@ -44,9 +44,6 @@ class WeakOrder:
                 return idx
         raise VotingError(f"alternative {a} out of range")
 
-    def weakly_prefers(self, a: int, b: int) -> bool:
-        return self.rank(a) <= self.rank(b)
-
     def strictly_prefers(self, a: int, b: int) -> bool:
         return self.rank(a) < self.rank(b)
 

@@ -193,6 +193,30 @@ class TestMalformedInput:
         assert code == EXIT_PARSE
         assert "missing field 'profile1'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            # the two winners differ, so the pair would read as vacuous
+            ({"m": 3, "voters": [{"id": 1, "interval": [3, 3]}]}, "shared voter ids: ['1']"),
+            ({"m": 3, "voters": [{"id": 1, "interval": [1, 1]}]}, "shared voter ids: ['1']"),
+            ({"m": 4, "voters": [{"id": 2, "interval": [1, 1]}]}, "m mismatch: 3 vs 4"),
+        ],
+    )
+    def test_replay_reinforcement_pair_no_campaign_builds(self, capsys, files, second, message):
+        rule = files("em3.json", {"m": 3, "theta": ["1/2"] * 3, "alpha": ["1/2"] * 3})
+        witness = files("w.json", {
+            "axiom": "reinforcement",
+            "witness": {
+                "profile1": {"m": 3, "voters": [{"id": 1, "interval": [1, 1]}]},
+                "profile2": second,
+            },
+        })
+        code = main(["audit", "--rule", rule, "--replay", witness])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_replay_unhashable_permutation_target(self, capsys, files, em_rule):
         witness = files("w.json", {
             "axiom": "anonymity",
@@ -482,6 +506,13 @@ class TestAudit:
             "20",
         )
         assert code == EXIT_UNDETERMINED
+
+    def test_neither_axiom_nor_replay(self, capsys, em_rule):
+        code = main(["audit", "--rule", em_rule])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: one of --axiom or --replay is required\n"
 
     def test_unknown_axiom(self, capsys, em_rule):
         code = main(["audit", "--rule", em_rule, "--axiom", "fairness"])

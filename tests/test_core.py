@@ -84,9 +84,8 @@ class TestInterval:
 
     def test_queries(self):
         iv = Interval(2, 4)
-        assert iv.size == 3
+        assert (iv.left, iv.right) == (2, 4)
         assert not iv.is_singleton()
-        assert iv.contains(2) and iv.contains(4) and not iv.contains(5)
         assert list(iv.alternatives()) == [2, 3, 4]
         assert Interval(3, 3).is_singleton()
 
@@ -181,7 +180,7 @@ class TestAnonymize:
     def test_to_profile_round_trip(self):
         anon = AnonProfile(2, (2, 1, 0))
         p = anon.to_profile()
-        assert p.n == 3
+        assert anon.n == p.n == 3
         assert anonymize(p) == anon
 
     @pytest.mark.parametrize("m, counts", [(1, (2,)), (0, ()), (-3, (1,) * 3)])
@@ -253,14 +252,23 @@ class TestCombineReplicate:
 
 
 def assert_trusted(q, parent):
-    """A derived profile equals its validated rebuild and owns its dict."""
+    """A derived profile equals its validated rebuild, owns its dict and
+    stores its voter count."""
     assert q == Profile(q.m, dict(q.voters))
     assert q.voters is not parent.voters
+    assert q.n == len(q.voters)
 
 
 class TestTrustedDerivations:
     """Derived profiles skip validation; each must still be a profile the
     validating constructor accepts unchanged."""
+
+    @given(profiles())
+    def test_validated_constructions_store_n(self, p):
+        assert p.n == len(p.voters)
+        loaded = Profile.from_json(p.to_json())
+        assert loaded.n == len(loaded.voters) == p.n
+        assert anonymize(p).n == p.n
 
     @given(profiles(), st.data())
     def test_with_interval(self, p, data):
@@ -299,6 +307,7 @@ class TestTrustedDerivations:
         assert len(set(map(anonymize, seen))) == len(seen)
         for q in seen:
             assert q == Profile(m, dict(q.voters))
+            assert q.n == n
             assert sorted(q.voters) == list(range(4, 4 + n))
 
     @given(profiles(), st.randoms())

@@ -271,7 +271,7 @@ class TestFixturesAgainstDefinition:
     @given(st.data(), st.integers(2, 6))
     def test_profile_dependent_alpha_winner(self, data, m):
         p = data.draw(profiles(m))
-        excluded = sum(1 for iv in p.voters.values() if not iv.contains(1))
+        excluded = sum(1 for iv in p.voters.values() if iv.left > 1)
         a1 = ONE_HALF - Fraction(excluded, 2 * p.n)
         alpha = WeightVector(m, (a1,) + (Fraction(1),) * (m - 1))
         expected = naive_winner(alpha, ThresholdVector.constant(m, ONE_HALF), p)

@@ -18,6 +18,7 @@ from wsp_oracle import (
     enumerate_wsp_with_plateau,
     is_weakly_single_peaked,
     top_set,
+    weakly_prefers,
 )
 
 
@@ -37,7 +38,7 @@ class TestWeakOrder:
     def test_preference_queries(self):
         w = order(3, {2}, {1, 3})
         assert w.strictly_prefers(2, 1)
-        assert w.weakly_prefers(1, 3) and w.weakly_prefers(3, 1)
+        assert weakly_prefers(w, 1, 3) and weakly_prefers(w, 3, 1)
         assert not w.strictly_prefers(1, 3)
 
     def test_json(self):

@@ -19,7 +19,14 @@ from intervalvote.rules import (
     check_compatible,
     endpoint_median_rule,
 )
+import intervalvote.rules as rules
 from intervalvote.axioms import (
+    CONDITION_PASSES,
+    PASS,
+    PASSED,
+    VACUOUS,
+    VACUOUS_PASS,
+    VIOLATION,
     RuleFn,
     check_majority_criterion,
     check_strong_unanimity,
@@ -288,6 +295,106 @@ class TestAxiomRegistry:
             assert campaign.violation is None, f.name
             undetermined += campaign.undetermined
         assert undetermined > 0  # the strict-threshold fixture is caught
+
+
+class TestSharedResults:
+    """Payload-free pass and vacuous results are shared module constants;
+    no campaign or replay may change them."""
+
+    BOUNDS = SearchBounds(n_max=2, pair_budget=3, lambda_max=10)
+
+    def test_campaigns_and_replays_leave_them_intact(self):
+        shared = {id(r) for r in (PASSED, VACUOUS_PASS, *CONDITION_PASSES.values())}
+        candidates = [RuleFn.from_ptr(endpoint_median_rule(3))]
+        candidates += [fixture(tag, 3) for tag in FIXTURE_TAGS]
+        replayed = 0
+        for f in candidates:
+            for axiom in AXIOM_TAGS:
+                first = None
+                for result in AXIOMS[axiom](f, self.BOUNDS):
+                    if result.status in (PASS, VACUOUS):
+                        assert id(result) in shared, (f.name, axiom)
+                    elif result.status == VIOLATION and first is None:
+                        first = result.violation
+                if first is not None:  # the campaign's violation
+                    witness = json.loads(json.dumps(first.to_json()))
+                    assert replay_violation(f, witness), (f.name, axiom)
+                    replayed += 1
+        assert replayed > 0
+        assert (PASSED.status, dict(PASSED.detail)) == (PASS, {})
+        assert (VACUOUS_PASS.status, dict(VACUOUS_PASS.detail)) == (VACUOUS, {})
+        for condition, result in CONDITION_PASSES.items():
+            assert (result.status, dict(result.detail)) == (PASS, {"condition": condition})
+
+    def test_detail_is_read_only(self):
+        with pytest.raises(TypeError):
+            PASSED.detail["condition"] = "winner-strictly-inside"
+
+
+# Winner-kernel and checker calls of one small campaign per axiom at
+# m = 3 (n_max 2, pair budget 3, lambda_max 10): (ptr_winner calls,
+# checker calls).  A change in either is a change in what the benchmark
+# reference pins, and must be made on purpose.
+COVERAGE_BOUNDS = SearchBounds(n_max=2, pair_budget=3, lambda_max=10)
+COVERAGE = {
+    "endpoint-median": {
+        "robustness": (75, 27),
+        "reinforcement": (686, 288),
+        "unanimity": (6, 3),
+        "anonymity": (96, 48),
+        "continuity": (746, 288),
+        "strategyproofness": (288, 48),
+        "strong-uncompromisingness": (374, 288),
+        "majority-criterion": (6, 27),
+        "strong-unanimity": (22, 27),
+        "weak-efficiency": (27, 27),
+        "shift-symmetry": (18, 27),
+    },
+    "skewed-weights": {
+        "robustness": (7, 3),
+        "reinforcement": (678, 288),
+        "unanimity": (6, 3),
+        "anonymity": (96, 48),
+        "continuity": (830, 288),
+        "strategyproofness": (288, 48),
+        "strong-uncompromisingness": (34, 27),
+        "majority-criterion": (6, 27),
+        "strong-unanimity": (22, 27),
+        "weak-efficiency": (27, 27),
+        "shift-symmetry": (4, 2),
+    },
+}
+
+
+class TestCoverageGuard:
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            ("endpoint-median", lambda: RuleFn.from_ptr(endpoint_median_rule(3))),
+            ("skewed-weights", _skewed_weights),
+        ],
+    )
+    def test_call_counts_are_pinned(self, monkeypatch, name, make):
+        calls = collections.Counter()
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(rules, "ptr_winner", counting("ptr_winner", rules.ptr_winner))
+        checkers = [n for n in vars(search) if n.startswith("check_") and n != "check_compatible"]
+        for checker in checkers:
+            monkeypatch.setattr(search, checker, counting("checker", getattr(search, checker)))
+        f = make()
+        seen = {}
+        for axiom in AXIOM_TAGS:
+            calls.clear()
+            falsify(f, axiom, COVERAGE_BOUNDS)
+            seen[axiom] = (calls["ptr_winner"], calls["checker"])
+        assert seen == COVERAGE[name]
 
 
 class TestFixtures:

@@ -21,6 +21,10 @@ class NotWeaklySinglePeaked(VotingError):
     pass
 
 
+def weakly_prefers(w: WeakOrder, a: int, b: int) -> bool:
+    return w.rank(a) <= w.rank(b)
+
+
 def is_weakly_single_peaked(w: WeakOrder) -> bool:
     """Direct quantifier check: some peak x such that preference weakly
     decreases step by step when moving away from x in either direction."""
@@ -30,7 +34,7 @@ def is_weakly_single_peaked(w: WeakOrder) -> bool:
         for y in alts:
             for z in alts:
                 if (x <= y < z) or (z < y <= x):
-                    if not w.weakly_prefers(y, z):
+                    if not weakly_prefers(w, y, z):
                         ok = False
                         break
             if not ok:
