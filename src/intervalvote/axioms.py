@@ -22,7 +22,7 @@ from .core import (
     delete_endpoint,
     interval_table,
     json_int,
-    replicate,
+    replications,
     require_disjoint,
     robust_step,
     table_interval,
@@ -272,12 +272,18 @@ def check_right_biased_continuity(
     alternative reported in p1.  The factor may be zero (the combination
     is then p2 alone).  Exhausting lambda_max without success is
     reported as undetermined, not as a violation.
+
+    The factors are tried in order, on the profiles of
+    `core.replications(p1, p2)`: each step adds one relabeled copy of p1
+    to the previous one, with the voter ids of
+    `combine(replicate(p1, lambda, avoid_ids=p2.voters), p2)`.
     """
     require_disjoint(p1, p2)
     w1, w = f(p1), f(p2)
     case = "i" if w <= w1 else "ii"
     # the combined winner must land in [w1, hi]
     hi = w1 if case == "i" else max(iv.right for iv in p1.voters.values())
+    grown = replications(p1, p2)
     lam = 0
     while not w1 <= w <= hi:
         lam += 1
@@ -291,7 +297,7 @@ def check_right_biased_continuity(
                     "profile2": p2.to_json(),
                 },
             )
-        w = f(combine(replicate(p1, lam, avoid_ids=p2.voters), p2))
+        w = f(next(grown))
     detail = {"case": case, "lambda": lam}
     if case == "ii":
         detail["bound"] = w

@@ -177,6 +177,8 @@ def cmd_decompose(args) -> int:
 def cmd_audit(args) -> int:
     if not (args.axiom or args.replay):
         raise VotingError("one of --axiom or --replay is required")
+    if args.axiom and args.replay:
+        raise VotingError("use one of --axiom or --replay, not both")
     f = _load_rule_fn(args, m=args.m)
     if args.replay:
         violation = _load_json(args.replay)

@@ -9,6 +9,7 @@ evaluation.
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -332,31 +333,59 @@ def combine(p1: Profile, p2: Profile) -> Profile:
     return Profile._of(p1.m, merged)
 
 
-def replicate(p: Profile, copies: int, avoid_ids: Iterable[VoterId] = ()) -> Profile:
-    """Profile made of `copies` relabeled copies of `p`.
+def _copies(p: Profile, avoid_ids: Iterable[VoterId]) -> Iterator[dict]:
+    """The voters of copy k = 1, 2, ... of `p`, relabeled.
 
-    Integer voter ids keep their parity (copies are shifted by an even
-    stride), so rules that read parity off the id treat every copy like
-    its original.  Non-integer ids get string suffixes instead.  Ids in
-    `avoid_ids` are guaranteed not to be reused.
+    When every id of `p` and `avoid_ids` is an integer, copy k shifts
+    them by k times an even stride: each copy keeps its original's
+    parity, so rules that read parity off the id treat it alike, and
+    reuses no id of `p`, of another copy or of `avoid_ids`.  Otherwise
+    copy k appends the string suffix "#k", which keeps the copies apart
+    but can meet an id of `avoid_ids` that already ends in "#k".  The
+    scheme is chosen once.
     """
-    if copies < 1:
-        raise VotingError(f"need at least one copy, got {copies}")
     avoid = list(avoid_ids)
-    if all(isinstance(v, int) for v in p.voters) and all(
+    voters = p.voters
+    if all(isinstance(v, int) for v in voters) and all(
         isinstance(v, int) for v in avoid
     ):
-        bound = max(abs(v) for v in list(p.voters) + avoid)
+        bound = max(abs(v) for v in list(voters) + avoid)
         stride = 2 * (bound + 1)
-        voters = {
-            v + k * stride: iv
-            for k in range(1, copies + 1)
-            for v, iv in p.voters.items()
-        }
+        for offset in itertools.count(stride, stride):
+            yield {v + offset: iv for v, iv in voters.items()}
     else:
-        voters = {
-            f"{v}#{k}": iv
-            for k in range(1, copies + 1)
-            for v, iv in p.voters.items()
-        }
+        for k in itertools.count(1):
+            yield {f"{v}#{k}": iv for v, iv in voters.items()}
+
+
+def replicate(p: Profile, copies: int, avoid_ids: Iterable[VoterId] = ()) -> Profile:
+    """Profile made of `copies` relabeled copies of `p`, in copy order,
+    kept apart from `avoid_ids` as `_copies` describes."""
+    if copies < 1:
+        raise VotingError(f"need at least one copy, got {copies}")
+    voters: dict = {}
+    for copy in itertools.islice(_copies(p, avoid_ids), copies):
+        voters.update(copy)
     return Profile._of(p.m, voters)
+
+
+def replications(p: Profile, rest: Profile) -> Iterator[Profile]:
+    """lambda * p + rest for lambda = 1, 2, ..., without end.
+
+    Each profile has the voter ids and insertion order of
+    `combine(replicate(p, lambda, avoid_ids=rest.voters), rest)`, but
+    step lambda relabels only the one copy of `p` it adds.  Every
+    profile owns its own dict, so later steps leave earlier ones intact.
+    A string suffix that meets an id of `rest` raises NotDisjoint at the
+    step where `combine` would.
+    """
+    if p.m != rest.m:
+        raise MismatchedAlternatives(f"m mismatch: {p.m} vs {rest.m}")
+    grown: dict = {}
+    for copy in _copies(p, rest.voters):
+        grown.update(copy)
+        voters = grown.copy()
+        voters.update(rest.voters)
+        if len(voters) != len(grown) + rest.n:
+            require_disjoint(Profile._of(p.m, grown), rest)
+        yield Profile._of(p.m, voters)

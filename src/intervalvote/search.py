@@ -9,6 +9,7 @@ multiset of canonical intervals with integer ids in canonical order;
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -213,9 +214,14 @@ def _median_of_endpoints(p: Profile, which: str) -> int:
     raise AssertionError("unreachable")
 
 
+def _ceil_log2(n: int) -> int:
+    """ceil(log2(n)) for n >= 1, in integers: the float log2 rounds
+    2^k + 1 down to k from k = 49 on."""
+    return (n - 1).bit_length()
+
+
 def _log_parity_winner(p: Profile) -> int:
-    parity = math.ceil(math.log2(p.n)) if p.n > 1 else 0
-    side = "left" if parity % 2 == 1 else "right"
+    side = "left" if _ceil_log2(p.n) % 2 == 1 else "right"
     return _median_of_endpoints(p, side)
 
 
@@ -299,7 +305,10 @@ def fixture(tag: str, m: int, params: Optional[dict] = None) -> RuleFn:
 @dataclass
 class Campaign:
     """One axiom's sweep.  `by_status` counts the checked instances by
-    result status, so a reader can tell real passes from vacuous ones."""
+    result status, so a reader can tell real passes from vacuous ones.
+    For continuity, `lambdas` counts the satisfied instances by the
+    replication factor they needed (0 included); undetermined ones have
+    none and are left out."""
 
     axiom: str
     by_status: dict[str, int] = field(
@@ -310,6 +319,7 @@ class Campaign:
     elapsed: float = 0.0
     violation: Optional[Violation] = None
     first_undetermined: Optional[dict] = None
+    lambdas: Optional[collections.Counter] = None
 
     @property
     def checked(self) -> int:
@@ -320,7 +330,7 @@ class Campaign:
         return self.by_status[UNDETERMINED]
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "axiom": self.axiom,
             "instances_checked": self.checked,
             "by_status": dict(self.by_status),
@@ -329,6 +339,11 @@ class Campaign:
             "violation": self.violation.to_json() if self.violation else None,
             "first_undetermined": self.first_undetermined,
         }
+        if self.lambdas is not None:
+            out["lambda_histogram"] = {
+                str(lam): count for lam, count in sorted(self.lambdas.items())
+            }
+        return out
 
 
 def _identified_profiles(m: int, n_max: int) -> Iterator[Profile]:
@@ -337,10 +352,16 @@ def _identified_profiles(m: int, n_max: int) -> Iterator[Profile]:
 
 
 def _disjoint_pairs(m: int, total_max: int) -> Iterator[tuple[Profile, Profile]]:
+    """Every (p1, p2) with n1 + n2 <= total_max, p2's voters numbered
+    after p1's.  The profile_count(m, n2) second profiles, which the
+    budget bounds, are built once per (n1, n2) and shared by every p1."""
     for n1 in range(1, total_max):
         for n2 in range(1, total_max - n1 + 1):
+            # n1 = 1 meets every size below total_max as an n2 first, so
+            # the budget refuses the same size here as in nested streams
+            seconds = tuple(_profiles(m, n2, first_id=n1 + 1))
             for p1 in _profiles(m, n1):
-                for p2 in _profiles(m, n2, first_id=n1 + 1):
+                for p2 in seconds:
                     yield p1, p2
 
 
@@ -428,13 +449,17 @@ def falsify(f: RuleFn, axiom: str, bounds: SearchBounds) -> Campaign:
     """
     stream = axiom_stream(axiom)
     campaign = Campaign(axiom=axiom)
+    if axiom == "continuity":
+        campaign.lambdas = collections.Counter()
     start = time.monotonic()
     for result in stream(f, bounds):
         campaign.by_status[result.status] += 1
-        if result.status == VIOLATION:
+        if result.status == SATISFIED:
+            campaign.lambdas[result.detail["lambda"]] += 1
+        elif result.status == VIOLATION:
             campaign.violation = result.violation
             break
-        if result.status == UNDETERMINED and campaign.first_undetermined is None:
+        elif result.status == UNDETERMINED and campaign.first_undetermined is None:
             campaign.first_undetermined = result.detail
     campaign.elapsed = time.monotonic() - start
     return campaign

@@ -10,7 +10,9 @@ from intervalvote.core import (
     Profile,
     VotingError,
     canonical_intervals,
+    combine,
     delete_endpoint,
+    replicate,
 )
 from intervalvote.rules import (
     PositionThresholdRule,
@@ -40,7 +42,7 @@ from intervalvote.axioms import (
     check_weak_efficiency,
     replay_violation,
 )
-from intervalvote.search import fixture
+from intervalvote.search import _disjoint_pairs, fixture
 from wsp_oracle import enumerate_wsp_with_plateau
 
 HALF = Fraction(1, 2)
@@ -325,6 +327,45 @@ class TestContinuity:
         p = Profile(2, {1: Interval(1, 1)})
         with pytest.raises(VotingError):
             check_right_biased_continuity(em(2), p, p)
+
+    @staticmethod
+    def assert_steps_match_oracle(p1, p2, lambda_max=4):
+        """Every replicated profile the loop hands the rule has the ids
+        and order of combine(replicate(p1, lambda), p2), and keeps them
+        after later steps.  f(p1) = x_m and x_1 elsewhere, so case (i)
+        never closes and every lambda up to lambda_max is tried."""
+        seen = []
+
+        def fn(q):
+            seen.append((q, list(q.voters.items())))
+            return p1.m if q is p1 else 1
+
+        result = check_right_biased_continuity(RuleFn(p1.m, fn), p1, p2, lambda_max)
+        assert result.status == UNDETERMINED
+        steps = seen[2:]
+        assert len(steps) == lambda_max
+        for lam, (q, items) in enumerate(steps, 1):
+            oracle = combine(replicate(p1, lam, avoid_ids=p2.voters), p2)
+            assert items == list(oracle.voters.items())
+            assert list(q.voters.items()) == items
+            assert q.n == len(items)
+
+    def test_replication_steps_on_every_small_pair(self):
+        for p1, p2 in _disjoint_pairs(3, 3):
+            self.assert_steps_match_oracle(p1, p2)
+
+    @pytest.mark.parametrize("ids1, ids2", [
+        (["a", "b"], ["c"]),
+        ([-3, 0, 4], [-1, 7]),
+        ([1, "a"], [2]),
+        ([1, 2], ["x"]),
+        ([-2, 5], ["y", 3]),
+    ])
+    def test_replication_steps_on_other_ids(self, ids1, ids2):
+        ivs = canonical_intervals(3)
+        p1 = Profile(3, {v: ivs[i] for i, v in enumerate(ids1)})
+        p2 = Profile(3, {v: ivs[-1 - i] for i, v in enumerate(ids2)})
+        self.assert_steps_match_oracle(p1, p2)
 
 
 class TestStrategyproofness:

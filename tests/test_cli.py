@@ -514,6 +514,26 @@ class TestAudit:
         assert captured.out == ""
         assert captured.err == "error: one of --axiom or --replay is required\n"
 
+    def test_axiom_and_replay_together(self, capsys, files, em_rule):
+        witness = files("v.json", {"axiom": "weak-efficiency", "witness": {}})
+        code = main(["audit", "--rule", em_rule, "--axiom", "robustness", "--replay", witness])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: use one of --axiom or --replay, not both\n"
+
+    @pytest.mark.parametrize("axiom", ["reinforcement", "continuity"])
+    @pytest.mark.parametrize("budget, count", [(5, 6), (20, 21), (50, 56)])
+    def test_pair_campaign_over_budget(self, capsys, files, monkeypatch, axiom, budget, count):
+        # m = 3 has 6, 21 and 56 profiles of 1, 2 and 3 voters
+        rule = files("em3.json", {"m": 3, "theta": ["1/2"] * 3, "alpha": ["1/2"] * 3})
+        monkeypatch.setenv("INTERVAL_VOTE_BUDGET", str(budget))
+        code = main(["audit", "--rule", rule, "--axiom", axiom, "--pair-budget", "4"])
+        assert code == EXIT_BUDGET
+        assert capsys.readouterr().err == (
+            f"error: enumeration of {count} profiles exceeds budget {budget}\n"
+        )
+
     def test_unknown_axiom(self, capsys, em_rule):
         code = main(["audit", "--rule", em_rule, "--axiom", "fairness"])
         assert code == EXIT_PARSE

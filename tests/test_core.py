@@ -26,6 +26,7 @@ from intervalvote.core import (
     parse_rational,
     render_rational,
     replicate,
+    replications,
     robust_step,
 )
 from intervalvote.axioms import RuleFn, check_anonymity, check_shift_symmetry
@@ -250,6 +251,19 @@ class TestCombineReplicate:
         big = replicate(p, 5, avoid_ids=[2, 99])
         assert not set(big.voters) & {2, 99}
 
+    def test_replications_refuse_what_combine_refuses(self):
+        p = Profile(2, {"a": Interval(1, 1)})
+        # the suffix of copy 2 meets an id of the other profile
+        rest = Profile(2, {"a#2": Interval(2, 2)})
+        steps = replications(p, rest)
+        assert list(next(steps).voters) == ["a#1", "a#2"]
+        with pytest.raises(NotDisjoint, match="a#2"):
+            combine(replicate(p, 2, avoid_ids=rest.voters), rest)
+        with pytest.raises(NotDisjoint, match="a#2"):
+            next(steps)
+        with pytest.raises(MismatchedAlternatives):
+            next(replications(p, Profile(3, {"b": Interval(1, 1)})))
+
 
 def assert_trusted(q, parent):
     """A derived profile equals its validated rebuild, owns its dict and
@@ -300,6 +314,9 @@ class TestTrustedDerivations:
         big = replicate(p, k, avoid_ids=[0])
         assert_trusted(big, p)
         assert big.n == k * p.n
+        for lam, grown in zip(range(1, k + 1), replications(p, other)):
+            assert_trusted(grown, other)
+            assert grown.n == lam * p.n + other.n
 
     @pytest.mark.parametrize("m, n", [(2, 1), (2, 3), (3, 2), (4, 2), (5, 1)])
     def test_enumerated_profiles(self, m, n):

@@ -115,6 +115,20 @@ class TestEnumeration:
         got = [(self._ordered(p1), self._ordered(p2)) for p1, p2 in _disjoint_pairs(m, 4)]
         assert got == expected
 
+    @pytest.mark.parametrize(
+        "m, total_max", [(3, b) for b in range(1, 5)] + [(4, b) for b in range(1, 4)]
+    )
+    def test_shared_pair_stream_matches_nested_regeneration(self, m, total_max):
+        nested = (
+            (p1, p2)
+            for n1 in range(1, total_max)
+            for n2 in range(1, total_max - n1 + 1)
+            for p1 in search._profiles(m, n1)
+            for p2 in search._profiles(m, n2, first_id=n1 + 1)
+        )
+        got = [(self._ordered(p1), self._ordered(p2)) for p1, p2 in _disjoint_pairs(m, total_max)]
+        assert got == [(self._ordered(p1), self._ordered(p2)) for p1, p2 in nested]
+
     def test_random_profile_seeded(self):
         a = random_profile(5, 10, seed=42)
         b = random_profile(5, 10, seed=42)
@@ -216,6 +230,25 @@ class TestFalsify:
         statuses = ("pass", "vacuous", "satisfied", "undetermined", "violation")
         assert report["by_status"] == {status: tally[status] for status in statuses}
         assert sum(report["by_status"].values()) == report["instances_checked"]
+
+    @pytest.mark.parametrize("make", [
+        lambda: RuleFn.from_ptr(endpoint_median_rule(3)),
+        lambda: fixture("strict-threshold", 3),
+        lambda: fixture("log-parity", 3),
+    ])
+    def test_continuity_lambda_histogram(self, make):
+        f = make()
+        bounds = SearchBounds(n_max=3, pair_budget=4, lambda_max=10)
+        report = falsify(f, "continuity", bounds).to_json()
+        needed = collections.Counter(
+            str(r.detail["lambda"])
+            for r in AXIOMS["continuity"](f, bounds)
+            if r.status == "satisfied"
+        )
+        assert report["lambda_histogram"] == dict(needed)
+        assert sum(report["lambda_histogram"].values()) == report["by_status"]["satisfied"]
+        assert report["lambda_histogram"]["0"] > 0
+        assert "lambda_histogram" not in falsify(f, "reinforcement", bounds).to_json()
 
     def test_strategyproofness_has_no_m_cap(self):
         campaign = falsify(
@@ -426,6 +459,15 @@ class TestFixtures:
                 campaign = falsify(f, axiom, bounds)
                 failed = campaign.violation is not None or campaign.undetermined > 0
                 assert failed == (axiom == bad), (tag, axiom)
+
+    def test_log_parity_exponent_is_exact(self):
+        # float ceil(log2(n)) gives 49 for n = 2^49 + 1; no profile of
+        # that size is built
+        assert search._ceil_log2(1) == 0
+        for k in range(1, 81):
+            assert search._ceil_log2(2**k - 1) == (k if k > 1 else 0)
+            assert search._ceil_log2(2**k) == k
+            assert search._ceil_log2(2**k + 1) == k + 1
 
     def test_profile_dependent_matches_definition(self):
         # one of four voters excludes x_1: alpha_1 becomes 3/8, so the
