@@ -86,11 +86,10 @@ class CheckResult:
     strategyproofness) also list every witness they found in
     `violations`.
 
-    A result that carries nothing but its status is one shared module
-    constant (`PASSED`, `VACUOUS_PASS`, and one pass per
-    strong-uncompromisingness condition in `CONDITION_PASSES`), so a
-    clean instance allocates no result.  Shared results must never be
-    mutated; their `detail` is a read-only mapping.
+    A pass or vacuous pass carries nothing but its status, so it is one
+    of the shared module constants `PASSED` and `VACUOUS_PASS`, and a
+    clean instance allocates no result.  Their `detail` is one read-only
+    empty mapping.
     """
 
     status: str
@@ -99,12 +98,15 @@ class CheckResult:
     violations: tuple[Violation, ...] = ()
 
 
-def _shared(status: str, **detail) -> CheckResult:
-    return CheckResult(status, detail=MappingProxyType(detail))
+_NO_DETAIL = MappingProxyType({})
+PASSED = CheckResult(PASS, detail=_NO_DETAIL)
+VACUOUS_PASS = CheckResult(VACUOUS, detail=_NO_DETAIL)
 
 
-PASSED = _shared(PASS)
-VACUOUS_PASS = _shared(VACUOUS)
+def _violated(axiom: str, observed, required, **witness) -> CheckResult:
+    """The result of one violation of `axiom`; the keyword arguments are
+    the witness's fields, in the order they are serialized."""
+    return CheckResult(VIOLATION, Violation(axiom, witness, observed, required))
 
 
 def _scan_result(violations: list[Violation]) -> CheckResult:
@@ -149,32 +151,18 @@ def check_reinforcement(f: RuleFn, p1: Profile, p2: Profile) -> CheckResult:
     w = f(combine(p1, p2))
     if w == w1:
         return PASSED
-    return CheckResult(
-        VIOLATION,
-        Violation(
-            axiom="reinforcement",
-            witness={"profile1": p1.to_json(), "profile2": p2.to_json()},
-            observed=w,
-            required=w1,
-        ),
+    return _violated(
+        "reinforcement", w, w1, profile1=p1.to_json(), profile2=p2.to_json()
     )
 
 
-def check_unanimity(f: RuleFn, m: int, j: int, n_max: int = 5) -> CheckResult:
+def check_unanimity(f: RuleFn, j: int, n_max: int) -> CheckResult:
     """All-singleton {x_j} electorates of size 1..n_max must elect x_j."""
     for n in range(1, n_max + 1):
-        p = Profile(m, {v: Interval(j, j) for v in range(1, n + 1)})
+        p = Profile(f.m, {v: Interval(j, j) for v in range(1, n + 1)})
         w = f(p)
         if w != j:
-            return CheckResult(
-                VIOLATION,
-                Violation(
-                    axiom="unanimity",
-                    witness={"profile": p.to_json()},
-                    observed=w,
-                    required=j,
-                ),
-            )
+            return _violated("unanimity", w, j, profile=p.to_json())
     return PASSED
 
 
@@ -186,14 +174,8 @@ def check_strong_unanimity(f: RuleFn, p: Profile) -> CheckResult:
     w = f(p)
     if lo <= w <= hi:
         return PASSED
-    return CheckResult(
-        VIOLATION,
-        Violation(
-            axiom="strong-unanimity",
-            witness={"profile": p.to_json()},
-            observed=w,
-            required=f"winner in [{lo}, {hi}]",
-        ),
+    return _violated(
+        "strong-unanimity", w, f"winner in [{lo}, {hi}]", profile=p.to_json()
     )
 
 
@@ -206,15 +188,7 @@ def check_majority_criterion(f: RuleFn, p: Profile) -> CheckResult:
             w = f(p)
             if w == j:
                 return PASSED
-            return CheckResult(
-                VIOLATION,
-                Violation(
-                    axiom="majority-criterion",
-                    witness={"profile": p.to_json()},
-                    observed=w,
-                    required=j,
-                ),
-            )
+            return _violated("majority-criterion", w, j, profile=p.to_json())
     return VACUOUS_PASS
 
 
@@ -222,14 +196,11 @@ def check_weak_efficiency(f: RuleFn, p: Profile) -> CheckResult:
     w = f(p)
     if w in p.support():
         return PASSED
-    return CheckResult(
-        VIOLATION,
-        Violation(
-            axiom="weak-efficiency",
-            witness={"profile": p.to_json()},
-            observed=w,
-            required="winner reported by at least one voter",
-        ),
+    return _violated(
+        "weak-efficiency",
+        w,
+        "winner reported by at least one voter",
+        profile=p.to_json(),
     )
 
 
@@ -245,19 +216,12 @@ def check_anonymity(
     w1, w2 = f(p), f(q)
     if w1 == w2:
         return PASSED
-    return CheckResult(
-        VIOLATION,
-        Violation(
-            axiom="anonymity",
-            witness={
-                "profile": p.to_json(),
-                "permutation": sorted(
-                    ([k, v] for k, v in permutation.items()), key=str
-                ),
-            },
-            observed=w2,
-            required=w1,
-        ),
+    return _violated(
+        "anonymity",
+        w2,
+        w1,
+        profile=p.to_json(),
+        permutation=sorted(([k, v] for k, v in permutation.items()), key=str),
     )
 
 
@@ -335,20 +299,6 @@ def check_strategyproofness(f: RuleFn, p: Profile, voter: VoterId) -> CheckResul
     return _scan_result(violations)
 
 
-# the invariance clauses of strong uncompromisingness, in the order
-# `_uncompromising_condition` tests them, each with its shared pass
-CONDITION_PASSES = {
-    condition: _shared(PASS, condition=condition)
-    for condition in (
-        "interval-left-of-winner",
-        "interval-right-of-winner",
-        "winner-strictly-inside",
-        "winner-at-left-endpoint",
-        "winner-at-right-endpoint",
-    )
-}
-
-
 def _uncompromising_condition(
     winner: int, old: Interval, new: Interval
 ) -> Optional[str]:
@@ -383,20 +333,15 @@ def check_strong_uncompromisingness(
         return VACUOUS_PASS
     after = f(p.with_interval(voter, new_interval))
     if after == winner:
-        return CONDITION_PASSES[condition]
-    return CheckResult(
-        VIOLATION,
-        Violation(
-            axiom="strong-uncompromisingness",
-            witness={
-                "profile": p.to_json(),
-                "voter": voter,
-                "new_interval": [new_interval.left, new_interval.right],
-                "condition": condition,
-            },
-            observed=after,
-            required=winner,
-        ),
+        return PASSED
+    return _violated(
+        "strong-uncompromisingness",
+        after,
+        winner,
+        profile=p.to_json(),
+        voter=voter,
+        new_interval=[new_interval.left, new_interval.right],
+        condition=condition,
     )
 
 
@@ -414,15 +359,7 @@ def check_shift_symmetry(f: RuleFn, p: Profile) -> CheckResult:
     w, ws = f(p), f(shifted)
     if ws == w + 1:
         return PASSED
-    return CheckResult(
-        VIOLATION,
-        Violation(
-            axiom="shift-symmetry",
-            witness={"profile": p.to_json()},
-            observed=ws,
-            required=w + 1,
-        ),
-    )
+    return _violated("shift-symmetry", ws, w + 1, profile=p.to_json())
 
 
 def replay_violation(f: RuleFn, violation: dict) -> bool:

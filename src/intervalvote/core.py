@@ -167,11 +167,12 @@ def table_interval(m: int, left: int, right: int) -> Interval:
 class Profile:
     """An identified interval profile: voter id -> interval.
 
-    `Profile(m, voters)` and `from_json` validate their input and copy
-    the mapping.  Profiles derived from a valid one (an endpoint
-    deletion, a combination, a replication, a campaign's enumeration)
-    are built with `Profile._of`, which trusts its input.  Every
-    profile stores its voter count `n` when it is built.
+    A voter id is an int or a string.  `Profile(m, voters)` and
+    `from_json` validate their input and copy the mapping.  Profiles
+    derived from a valid one (an endpoint deletion, a combination, a
+    replication, a campaign's enumeration) are built with
+    `Profile._of`, which trusts its input.  Every profile stores its
+    voter count `n` when it is built.
     """
 
     m: int
@@ -183,7 +184,9 @@ class Profile:
             raise InvalidAlternativeCount(f"need m >= 2, got {self.m}")
         if not self.voters:
             raise VotingError("profile must contain at least one voter")
-        for iv in self.voters.values():
+        for vid, iv in self.voters.items():
+            if isinstance(vid, bool) or not isinstance(vid, (int, str)):
+                raise VotingError(f"voter id must be an int or a string: {vid!r}")
             iv.validate(self.m)
         voters = dict(self.voters)
         object.__setattr__(self, "voters", voters)
@@ -334,28 +337,29 @@ def combine(p1: Profile, p2: Profile) -> Profile:
 
 
 def _copies(p: Profile, avoid_ids: Iterable[VoterId]) -> Iterator[dict]:
-    """The voters of copy k = 1, 2, ... of `p`, relabeled.
+    """The voters of copy k = 1, 2, ... of `p`, relabeled so that no copy
+    reuses an id of `p`, of another copy or of `avoid_ids`.
 
-    When every id of `p` and `avoid_ids` is an integer, copy k shifts
-    them by k times an even stride: each copy keeps its original's
-    parity, so rules that read parity off the id treat it alike, and
-    reuses no id of `p`, of another copy or of `avoid_ids`.  Otherwise
-    copy k appends the string suffix "#k", which keeps the copies apart
-    but can meet an id of `avoid_ids` that already ends in "#k".  The
-    scheme is chosen once.
+    Copy k shifts an integer id by k times an even stride that exceeds
+    twice every integer id of `p` and `avoid_ids`, so each copy keeps
+    its original's parity and rules that read parity off the id treat
+    it alike.  It appends to a string id a separator and then k.  The
+    separator is the shortest run of "#" that no string id of `p` or
+    `avoid_ids` contains, so no appended id was there before, and the
+    digits after its last "#" name the copy.
     """
-    avoid = list(avoid_ids)
-    voters = p.voters
-    if all(isinstance(v, int) for v in voters) and all(
-        isinstance(v, int) for v in avoid
-    ):
-        bound = max(abs(v) for v in list(voters) + avoid)
-        stride = 2 * (bound + 1)
-        for offset in itertools.count(stride, stride):
-            yield {v + offset: iv for v, iv in voters.items()}
-    else:
-        for k in itertools.count(1):
-            yield {f"{v}#{k}": iv for v, iv in voters.items()}
+    ids = [*p.voters, *avoid_ids]
+    bound = max((abs(v) for v in ids if isinstance(v, int)), default=0)
+    stride = 2 * (bound + 1)
+    sep = "#"
+    while any(sep in v for v in ids if isinstance(v, str)):
+        sep += "#"
+    for k in itertools.count(1):
+        offset = k * stride
+        yield {
+            v + offset if isinstance(v, int) else f"{v}{sep}{k}": iv
+            for v, iv in p.voters.items()
+        }
 
 
 def replicate(p: Profile, copies: int, avoid_ids: Iterable[VoterId] = ()) -> Profile:
@@ -376,8 +380,6 @@ def replications(p: Profile, rest: Profile) -> Iterator[Profile]:
     `combine(replicate(p, lambda, avoid_ids=rest.voters), rest)`, but
     step lambda relabels only the one copy of `p` it adds.  Every
     profile owns its own dict, so later steps leave earlier ones intact.
-    A string suffix that meets an id of `rest` raises NotDisjoint at the
-    step where `combine` would.
     """
     if p.m != rest.m:
         raise MismatchedAlternatives(f"m mismatch: {p.m} vs {rest.m}")
@@ -386,6 +388,4 @@ def replications(p: Profile, rest: Profile) -> Iterator[Profile]:
         grown.update(copy)
         voters = grown.copy()
         voters.update(rest.voters)
-        if len(voters) != len(grown) + rest.n:
-            require_disjoint(Profile._of(p.m, grown), rest)
         yield Profile._of(p.m, voters)

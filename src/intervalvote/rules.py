@@ -224,7 +224,8 @@ class PositionThresholdRule:
     m: int
     theta: ThresholdVector
     alpha: WeightVector
-    compatible: bool = field(default=True)
+    # whether `check_compatible` accepts the vectors
+    compatible: bool = field(init=False, compare=False)
     # (A, B, C) = (a*d, (b - a)*d, c*b) with alpha_k = a/b and
     # theta_k = c/d for k = 1..m-1: the integer form of every winner
     # test, see `scan_winner`
@@ -235,6 +236,8 @@ class PositionThresholdRule:
     def __post_init__(self):
         if self.theta.m != self.m or self.alpha.m != self.m:
             raise VotingError("vector lengths must match m")
+        ok, _ = check_compatible(self.alpha, self.theta)
+        object.__setattr__(self, "compatible", ok)
         coeffs = tuple(
             (
                 a.numerator * t.denominator,
@@ -248,24 +251,25 @@ class PositionThresholdRule:
     @classmethod
     def make(cls, alpha: WeightVector, theta: ThresholdVector) -> "PositionThresholdRule":
         """Checked constructor: rejects incompatible vector pairs."""
-        ok, i = check_compatible(alpha, theta)
-        if not ok:
+        rule = cls(alpha.m, theta, alpha)
+        if not rule.compatible:
+            _, i = check_compatible(alpha, theta)
             raise IncompatibleRule(
                 f"alpha and theta are incompatible at index {i}"
             )
-        return cls(alpha.m, theta, alpha, True)
+        return rule
 
     @classmethod
     def make_unchecked(
         cls, alpha: WeightVector, theta: ThresholdVector
     ) -> "PositionThresholdRule":
-        """Constructor that skips the compatibility check.
+        """Constructor that accepts incompatible vector pairs.
 
         The resulting rule is total and well-defined but may fail
-        robustness; used to study threshold rules outside the class.
+        robustness (its `compatible` is then False); used to study
+        threshold rules outside the class.
         """
-        ok, _ = check_compatible(alpha, theta)
-        return cls(alpha.m, theta, alpha, ok)
+        return cls(alpha.m, theta, alpha)
 
     def winner(self, p: ProfileLike) -> int:
         return ptr_winner(self, p)

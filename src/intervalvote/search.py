@@ -117,13 +117,10 @@ def profile_count(m: int, n: int) -> int:
     return math.comb(q + n - 1, n)
 
 
-def _profiles(
-    m: int, n: int, first_id: int = 1, budget: Optional[int] = None
-) -> Iterator[Profile]:
+def _profiles(m: int, n: int, first_id: int = 1) -> Iterator[Profile]:
     """Every multiset of n canonical intervals, in lexicographic index order,
     as a profile whose voters first_id, first_id + 1, ... cast them."""
-    if budget is None:
-        budget = enumeration_budget()
+    budget = enumeration_budget()
     count = profile_count(m, n)
     if count > budget:
         raise TooLarge(
@@ -133,9 +130,9 @@ def _profiles(
         yield Profile._of(m, dict(enumerate(ballots, first_id)))
 
 
-def enumerate_profiles(m: int, n: int, budget: Optional[int] = None) -> Iterator[AnonProfile]:
+def enumerate_profiles(m: int, n: int) -> Iterator[AnonProfile]:
     """The profiles of `_profiles(m, n)`, anonymized."""
-    return map(anonymize, _profiles(m, n, budget=budget))
+    return map(anonymize, _profiles(m, n))
 
 
 def random_profile(m: int, n: int, seed: int) -> Profile:
@@ -398,7 +395,7 @@ AXIOMS: dict[str, Callable[[RuleFn, SearchBounds], Iterator[CheckResult]]] = {
         for p1, p2 in _disjoint_pairs(f.m, b.pair_budget)
     ),
     "unanimity": lambda f, b: (
-        check_unanimity(f, f.m, j, n_max=b.n_max) for j in range(1, f.m + 1)
+        check_unanimity(f, j, b.n_max) for j in range(1, f.m + 1)
     ),
     "anonymity": lambda f, b: (
         check_anonymity(f, p, mapping) for p, mapping in _renamings(f.m, b.n_max)

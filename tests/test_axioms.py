@@ -22,6 +22,7 @@ from intervalvote.rules import (
 )
 from intervalvote.axioms import (
     PASS,
+    PASSED,
     CheckResult,
     SATISFIED,
     UNDETERMINED,
@@ -161,10 +162,10 @@ class TestReinforcement:
 class TestUnanimity:
     def test_endpoint_median_passes(self):
         for j in (1, 2, 3):
-            assert check_unanimity(em(3), 3, j).status == PASS
+            assert check_unanimity(em(3), j, 5).status == PASS
 
     def test_constant_fixture_fails(self):
-        result = check_unanimity(fixture("constant", 3), 3, 2)
+        result = check_unanimity(fixture("constant", 3), 2, 5)
         assert result.status == VIOLATION
         assert result.violation.required == 2
 
@@ -271,6 +272,16 @@ class TestContinuity:
         result = check_right_biased_continuity(em(2), p1, p2)
         assert result.status == SATISFIED
         assert result.detail == {"case": "i", "lambda": 2}
+
+    def test_copy_ids_stay_off_the_second_profile(self):
+        # p2's id looks like a copy of p1's voter; the pair is still
+        # decided at lambda = 2
+        p1 = Profile(2, {"a": Interval(2, 2)})
+        p2 = Profile(2, {"a#2": Interval(1, 1)})
+        f, calls = recorded(em(2))
+        result = check_right_biased_continuity(f, p1, p2)
+        assert result.detail == {"case": "i", "lambda": 2}
+        assert [q.n for q in calls] == [1, 1, 2, 3]
 
     def test_case_ii_sandwich_without_replication(self):
         # f(p2) = x_2 already lies between f(p1) = x_1 and p1's x_3
@@ -477,9 +488,9 @@ class TestStrongUncompromisingness:
         w = f(p)
         assert w == 2
         # winner strictly inside voter 1's interval stays put
-        result = check_strong_uncompromisingness(f, p, 1, Interval(1, 2))
-        assert result.status == PASS
-        assert result.detail["condition"] == "winner-strictly-inside"
+        # a pass is the shared payload-free result; the clause is named
+        # only in a violation's witness
+        assert check_strong_uncompromisingness(f, p, 1, Interval(1, 2)) is PASSED
 
     def test_violation_on_jumpy_rule(self):
         def jumpy(p):

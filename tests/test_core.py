@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from intervalvote.core import (
@@ -131,6 +131,16 @@ class TestProfile:
         with pytest.raises(VotingError):
             Profile.from_json(data)
 
+    @pytest.mark.parametrize("vid", [True, 1.0, None, (1,)])
+    def test_id_neither_int_nor_string_rejected(self, vid):
+        # copies of a profile are kept apart by id type: 5.0 == 5
+        with pytest.raises(VotingError, match="voter id must be an int or a string"):
+            Profile(2, {vid: Interval(1, 1)})
+        if not isinstance(vid, tuple):
+            data = {"m": 2, "voters": [{"id": vid, "interval": [1, 1]}]}
+            with pytest.raises(VotingError, match="voter id must be an int or a string"):
+                Profile.from_json(data)
+
     def test_missing_voter(self):
         p = Profile(2, {1: Interval(1, 1)})
         with pytest.raises(NoSuchVoter):
@@ -253,16 +263,30 @@ class TestCombineReplicate:
 
     def test_replications_refuse_what_combine_refuses(self):
         p = Profile(2, {"a": Interval(1, 1)})
-        # the suffix of copy 2 meets an id of the other profile
+        # the separator is a longer run of "#" than any id holds, so no
+        # copy meets "a#2" and both constructions give the same profile
         rest = Profile(2, {"a#2": Interval(2, 2)})
         steps = replications(p, rest)
-        assert list(next(steps).voters) == ["a#1", "a#2"]
-        with pytest.raises(NotDisjoint, match="a#2"):
-            combine(replicate(p, 2, avoid_ids=rest.voters), rest)
-        with pytest.raises(NotDisjoint, match="a#2"):
-            next(steps)
+        assert list(next(steps).voters) == ["a##1", "a#2"]
+        assert next(steps) == combine(replicate(p, 2, avoid_ids=rest.voters), rest)
         with pytest.raises(MismatchedAlternatives):
             next(replications(p, Profile(3, {"b": Interval(1, 1)})))
+
+    @given(
+        st.lists(st.one_of(st.integers(-9, 9), st.text("a#1", max_size=4)), min_size=1, unique=True),
+        st.lists(st.one_of(st.integers(-30, 30), st.text("a#12", max_size=5)), max_size=6),
+        st.integers(1, 4),
+    )
+    # an avoided id shaped like a copy's, and an int and a string that
+    # print alike
+    @example(["a"], ["a#2"], 2)
+    @example([1, "1"], [], 2)
+    def test_copies_reuse_no_id(self, ids, avoid, k):
+        p = Profile(2, {v: Interval(1, 1 + i % 2) for i, v in enumerate(ids)})
+        big = replicate(p, k, avoid_ids=avoid)
+        assert big.n == k * p.n
+        assert not big.voters.keys() & (set(ids) | set(avoid))
+        assert anonymize(big).counts == tuple(k * c for c in anonymize(p).counts)
 
 
 def assert_trusted(q, parent):

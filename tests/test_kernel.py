@@ -329,8 +329,9 @@ def test_cached_terms_leave_rule_identity_unchanged():
     twin = PositionThresholdRule(3, theta, alpha)
     # (a*d, (b - a)*d, c*b) for alpha_k = a/b, theta_k = c/d
     assert rule.coeffs == ((3, 6, 6), (2, 2, 2))
-    assert rule == twin and hash(rule) == hash(twin)
-    assert rule != PositionThresholdRule(3, theta, alpha, compatible=False)
+    assert rule == twin and hash(rule) == hash(twin) and twin.compatible
+    with pytest.raises(TypeError):  # the vectors decide compatibility
+        PositionThresholdRule(3, theta, alpha, compatible=False)
     assert repr(rule) == (
         f"PositionThresholdRule(m=3, theta={theta!r}, alpha={alpha!r}, compatible=True)"
     )

@@ -197,6 +197,15 @@ class TestCompatibility:
         again = PositionThresholdRule.from_json(data)
         assert again == rule and not again.compatible
 
+    def test_direct_construction_derives_compatibility(self):
+        # built without either constructor, the rule still reports the
+        # vectors' verdict, and its file loads back
+        alpha = WeightVector(3, (Fraction(3, 4), Fraction(1, 4), Fraction(1, 4)))
+        rule = PositionThresholdRule(3, ThresholdVector.constant(3, HALF), alpha)
+        assert not rule.compatible
+        assert rule.to_json()["unchecked"] is True
+        assert PositionThresholdRule.from_json(rule.to_json()) == rule
+
 
 class TestWeakEfficiencyThresholds:
     def test_flat_is_efficient(self):

@@ -21,7 +21,6 @@ from intervalvote.rules import (
 )
 import intervalvote.rules as rules
 from intervalvote.axioms import (
-    CONDITION_PASSES,
     PASS,
     PASSED,
     VACUOUS,
@@ -71,9 +70,10 @@ class TestEnumeration:
         assert len(set(p.counts for p in profiles)) == len(profiles)
         assert all(p.n == n for p in profiles)
 
-    def test_budget_enforced(self):
+    def test_budget_enforced(self, monkeypatch):
+        monkeypatch.setenv("INTERVAL_VOTE_BUDGET", "100")
         with pytest.raises(TooLarge):
-            list(enumerate_profiles(8, 20, budget=100))
+            list(enumerate_profiles(8, 20))
 
     @staticmethod
     def _reference_counts(m, n):
@@ -305,8 +305,30 @@ VIOLATORS = {
 }
 
 
+# the serialized first violation of each VIOLATORS campaign at the
+# registry bounds, byte for byte: witness fields, their order and values
+FIRST_VIOLATIONS = {
+    "anonymity": '{"axiom": "anonymity", "witness": {"profile": {"m": 3, "voters": [{"id": 1, "interval": [1, 1]}, {"id": 2, "interval": [2, 2]}]}, "permutation": [[1, 2], [2, 1]]}, "observed": 1, "required": 2}',
+    "majority-criterion": '{"axiom": "majority-criterion", "witness": {"profile": {"m": 3, "voters": [{"id": 1, "interval": [2, 2]}]}}, "observed": 1, "required": 2}',
+    "reinforcement": '{"axiom": "reinforcement", "witness": {"profile1": {"m": 3, "voters": [{"id": 1, "interval": [1, 2]}]}, "profile2": {"m": 3, "voters": [{"id": 2, "interval": [1, 2]}]}}, "observed": 1, "required": 2}',
+    "robustness": '{"axiom": "robustness", "witness": {"profile": {"m": 3, "voters": [{"id": 1, "interval": [1, 3]}]}, "voter": 1, "side": "left"}, "observed": {"before": 1, "after": 3}, "required": "winner unchanged, or moved one step off the deleted endpoint"}',
+    "shift-symmetry": '{"axiom": "shift-symmetry", "witness": {"profile": {"m": 3, "voters": [{"id": 1, "interval": [1, 2]}]}}, "observed": 2, "required": 3}',
+    "strategyproofness": '{"axiom": "strategyproofness", "witness": {"profile": {"m": 3, "voters": [{"id": 1, "interval": [1, 3]}, {"id": 2, "interval": [2, 2]}, {"id": 3, "interval": [3, 3]}]}, "voter": 2, "preference": [[2], [1], [3]], "report": [1, 1]}, "observed": {"honest": 3, "manipulated": 1}, "required": "honest outcome weakly preferred"}',
+    "strong-unanimity": '{"axiom": "strong-unanimity", "witness": {"profile": {"m": 3, "voters": [{"id": 1, "interval": [1, 3]}, {"id": 2, "interval": [3, 3]}]}}, "observed": 2, "required": "winner in [3, 3]"}',
+    "strong-uncompromisingness": '{"axiom": "strong-uncompromisingness", "witness": {"profile": {"m": 3, "voters": [{"id": 1, "interval": [2, 3]}]}, "voter": 1, "new_interval": [1, 3], "condition": "winner-at-right-endpoint"}, "observed": 1, "required": 3}',
+    "unanimity": '{"axiom": "unanimity", "witness": {"profile": {"m": 3, "voters": [{"id": 1, "interval": [2, 2]}]}}, "observed": 1, "required": 2}',
+    "weak-efficiency": '{"axiom": "weak-efficiency", "witness": {"profile": {"m": 3, "voters": [{"id": 1, "interval": [2, 2]}]}}, "observed": 1, "required": "winner reported by at least one voter"}',
+}
+
+
 class TestAxiomRegistry:
     BOUNDS = SearchBounds(n_max=3, pair_budget=3, lambda_max=10)
+
+    def test_first_violations_are_pinned(self):
+        assert set(FIRST_VIOLATIONS) == set(VIOLATORS)
+        for axiom, make in VIOLATORS.items():
+            campaign = falsify(make(), axiom, self.BOUNDS)
+            assert json.dumps(campaign.violation.to_json()) == FIRST_VIOLATIONS[axiom]
 
     def test_violators_cover_the_registry(self):
         assert set(VIOLATORS) == set(AXIOM_TAGS) - {"continuity"}
@@ -337,7 +359,7 @@ class TestSharedResults:
     BOUNDS = SearchBounds(n_max=2, pair_budget=3, lambda_max=10)
 
     def test_campaigns_and_replays_leave_them_intact(self):
-        shared = {id(r) for r in (PASSED, VACUOUS_PASS, *CONDITION_PASSES.values())}
+        shared = {id(PASSED), id(VACUOUS_PASS)}
         candidates = [RuleFn.from_ptr(endpoint_median_rule(3))]
         candidates += [fixture(tag, 3) for tag in FIXTURE_TAGS]
         replayed = 0
@@ -356,8 +378,7 @@ class TestSharedResults:
         assert replayed > 0
         assert (PASSED.status, dict(PASSED.detail)) == (PASS, {})
         assert (VACUOUS_PASS.status, dict(VACUOUS_PASS.detail)) == (VACUOUS, {})
-        for condition, result in CONDITION_PASSES.items():
-            assert (result.status, dict(result.detail)) == (PASS, {"condition": condition})
+        assert PASSED.detail is VACUOUS_PASS.detail
 
     def test_detail_is_read_only(self):
         with pytest.raises(TypeError):
@@ -366,8 +387,9 @@ class TestSharedResults:
 
 # Winner-kernel and checker calls of one small campaign per axiom at
 # m = 3 (n_max 2, pair budget 3, lambda_max 10): (ptr_winner calls,
-# checker calls).  A change in either is a change in what the benchmark
-# reference pins, and must be made on purpose.
+# checker calls), and the ptr_winner calls of replaying the violation
+# each campaign reports.  A change in any is a change in what the
+# benchmark reference pins, and must be made on purpose.
 COVERAGE_BOUNDS = SearchBounds(n_max=2, pair_budget=3, lambda_max=10)
 COVERAGE = {
     "endpoint-median": {
@@ -397,6 +419,10 @@ COVERAGE = {
         "shift-symmetry": (4, 2),
     },
 }
+REPLAY_COVERAGE = {
+    "endpoint-median": {},
+    "skewed-weights": {"robustness": 3, "strong-uncompromisingness": 2, "shift-symmetry": 2},
+}
 
 
 class TestCoverageGuard:
@@ -422,12 +448,17 @@ class TestCoverageGuard:
         for checker in checkers:
             monkeypatch.setattr(search, checker, counting("checker", getattr(search, checker)))
         f = make()
-        seen = {}
+        seen, replayed = {}, {}
         for axiom in AXIOM_TAGS:
             calls.clear()
-            falsify(f, axiom, COVERAGE_BOUNDS)
+            campaign = falsify(f, axiom, COVERAGE_BOUNDS)
             seen[axiom] = (calls["ptr_winner"], calls["checker"])
+            if campaign.violation is not None:
+                calls.clear()
+                assert replay_violation(f, json.loads(json.dumps(campaign.violation.to_json())))
+                replayed[axiom] = calls["ptr_winner"]
         assert seen == COVERAGE[name]
+        assert replayed == REPLAY_COVERAGE[name]
 
 
 class TestFixtures:
