@@ -85,7 +85,9 @@ def _parse_fixture_spec(spec: str) -> tuple[str, dict]:
 
 def _load_rule_fn(args, m: Optional[int] = None) -> RuleFn:
     """Resolve --rule / --fixture into a callable rule."""
-    if getattr(args, "fixture", None):
+    if args.rule and args.fixture:
+        raise VotingError("use one of --rule or --fixture, not both")
+    if args.fixture:
         tag, params = _parse_fixture_spec(args.fixture)
         if m is None:
             raise VotingError("--fixture requires --m")

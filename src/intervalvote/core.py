@@ -214,7 +214,7 @@ class Profile:
         if voter not in self.voters:
             raise NoSuchVoter(f"no voter {voter!r}")
         iv.validate(self.m)
-        new = dict(self.voters)
+        new = self.voters.copy()
         new[voter] = iv
         return Profile._of(self.m, new)
 

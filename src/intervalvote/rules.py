@@ -8,19 +8,19 @@ Pi_alpha(profile, x_i) >= theta_i * n, compared exactly (ties count as
 satisfied).  theta_m and alpha_m are stored but never influence the
 winner since Pi_alpha(., x_m) = n and theta_m < 1.
 
-Evaluation kernel: `endpoint_histogram` makes one pass over a profile
-and counts, per alternative, the voters whose left and whose right
-endpoint it is.  With the running sums L_k (left endpoint at or before
-x_k) and R_k (right endpoint at or before x_k) of these histograms,
+Evaluation kernel: `ptr_winner` makes one pass over a profile (through
+`endpoint_histogram` for an anonymized one) and counts, per alternative,
+the voters whose left and whose right endpoint it is.  With the running
+sums L_k (left endpoint at or before x_k) and R_k (right endpoint at or
+before x_k) of these histograms,
 Pi_alpha(x_k) = R_k + alpha_k * (L_k - R_k).  Writing alpha_k = a/b and
 theta_k = c/d with b, d > 0, the winner test Pi_alpha(x_k) >= theta_k * n
 holds exactly when the integer comparison A_k * L_k + B_k * R_k >= C_k * n
 does, with A = a*d, B = (b - a)*d and C = c*b fixed per rule.
-`scan_winner` keeps L and R as it goes and stops at the first test that
-holds; a strict test (Pi > theta * n) is the same scan with 1 added to
-the right-hand side.  A winner costs one pass over the voters (over the
-nonzero counts of an anonymized profile) and at most m - 1 integer
-comparisons, with no floats.
+`ptr_winner` keeps L and R as it goes and stops at the first test that
+holds.  A winner costs one pass over the voters (over the nonzero counts
+of an anonymized profile) and at most m - 1 integer comparisons, with no
+floats.
 `individual_position`, the endpoint-median oracle, the singleton
 decomposition and the phantom-median rule compute the same quantities
 independently of the kernel and serve as its cross-checks.
@@ -160,27 +160,6 @@ def endpoint_histogram(p: ProfileLike, m: int) -> tuple[list[int], list[int]]:
     return lefts, rights
 
 
-def scan_winner(
-    coeffs: tuple[tuple[int, int, int], ...],
-    lefts: list[int],
-    rights: list[int],
-    n: int,
-    offset: int = 0,
-) -> int:
-    """The first k with A_k * L_k + B_k * R_k >= C_k * n + offset, for
-    (A_k, B_k, C_k) = coeffs[k - 1] and L_k, R_k the running sums of the
-    `endpoint_histogram` lists; len(coeffs) + 1 when no test holds.
-    offset = 1 makes every test strict."""
-    L = R = k = 0
-    for A, B, C in coeffs:
-        k += 1
-        L += lefts[k]
-        R += rights[k]
-        if A * L + B * R >= C * n + offset:
-            return k
-    return k + 1
-
-
 def collective_positions(alpha: WeightVector, p: ProfileLike) -> list[Fraction]:
     """Pi_alpha(p, x_k) for k = 1..m from one endpoint pass, exact."""
     lefts, rights = endpoint_histogram(p, alpha.m)
@@ -228,7 +207,7 @@ class PositionThresholdRule:
     compatible: bool = field(init=False, compare=False)
     # (A, B, C) = (a*d, (b - a)*d, c*b) with alpha_k = a/b and
     # theta_k = c/d for k = 1..m-1: the integer form of every winner
-    # test, see `scan_winner`
+    # test, see `ptr_winner`
     coeffs: tuple[tuple[int, int, int], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -301,12 +280,29 @@ def vectors_from_json(data: dict) -> tuple[WeightVector, ThresholdVector]:
 
 
 def ptr_winner(rule: PositionThresholdRule, p: ProfileLike) -> int:
-    """Smallest index whose collective position meets its scaled threshold."""
-    if rule.m != p.m:
-        raise VotingError(f"m mismatch: rule {rule.m} vs profile {p.m}")
-    lefts, rights = endpoint_histogram(p, rule.m)
+    """Smallest index whose collective position meets its scaled threshold.
+    Inline for an identified profile: on the few voters of a campaign
+    instance, helper calls would cost more than the arithmetic."""
+    m = rule.m
+    if m != p.m:
+        raise VotingError(f"m mismatch: rule {m} vs profile {p.m}")
+    if isinstance(p, AnonProfile):
+        lefts, rights = endpoint_histogram(p, m)
+    else:
+        lefts, rights = [0] * (m + 1), [0] * (m + 1)
+        for iv in p.voters.values():
+            lefts[iv.left] += 1
+            rights[iv.right] += 1
+    n = p.n
+    L = R = k = 0
+    for A, B, C in rule.coeffs:
+        k += 1
+        L += lefts[k]
+        R += rights[k]
+        if A * L + B * R >= C * n:
+            return k
     # x_m wins when no earlier test holds: Pi(., x_m) = n > theta_m * n
-    return scan_winner(rule.coeffs, lefts, rights, p.n)
+    return m
 
 
 def phantom_median_winner(theta: ThresholdVector, p: ProfileLike) -> int:

@@ -66,7 +66,6 @@ from .rules import (
     check_compatible,
     endpoint_histogram,
     endpoint_median_rule,
-    scan_winner,
 )
 
 BUDGET_ENV = "INTERVAL_VOTE_BUDGET"
@@ -222,27 +221,45 @@ def _log_parity_winner(p: Profile) -> int:
     return _median_of_endpoints(p, side)
 
 
+def _scan_winner(
+    coeffs: tuple[tuple[int, int, int], ...],
+    lefts: list[int],
+    rights: list[int],
+    n: int,
+    offset: int = 0,
+) -> int:
+    """The `rules.ptr_winner` scan for the fixtures: the first k with
+    A_k * L_k + B_k * R_k >= C_k * n + offset, L_k and R_k the running sums
+    of `lefts` and `rights`; len(coeffs) + 1 when no test holds."""
+    L = R = k = 0
+    for A, B, C in coeffs:
+        k += 1
+        L += lefts[k]
+        R += rights[k]
+        if A * L + B * R >= C * n + offset:
+            return k
+    return k + 1
+
+
 def _strict_threshold_winner(rule: PositionThresholdRule, p: Profile) -> int:
     """`rule` with every threshold test made strict (Pi > theta * n)."""
     lefts, rights = endpoint_histogram(p, rule.m)
-    return scan_winner(rule.coeffs, lefts, rights, p.n, 1)
+    return _scan_winner(rule.coeffs, lefts, rights, p.n, 1)
 
 
 def _even_doubled_winner(p: Profile) -> int:
-    """Endpoint-median with ballots of even integer voter ids counted twice.
+    """Endpoint-median with ballots of even integer voter ids counted twice;
+    a string id counts once, as do the copies `core.replicate` makes of it.
 
     With alpha = theta = 1/2, Pi(x_k) >= n/2 over the n doubled ballots
     is L_k + R_k >= n in integers.
     """
     lefts, rights = [0] * (p.m + 1), [0] * (p.m + 1)
     for voter, iv in p.voters.items():
-        try:
-            weight = 2 if int(voter) % 2 == 0 else 1
-        except (TypeError, ValueError):
-            weight = 1
+        weight = 2 if isinstance(voter, int) and voter % 2 == 0 else 1
         lefts[iv.left] += weight
         rights[iv.right] += weight
-    return scan_winner(((1, 1, 1),) * (p.m - 1), lefts, rights, sum(lefts))
+    return _scan_winner(((1, 1, 1),) * (p.m - 1), lefts, rights, sum(lefts))
 
 
 def _profile_dependent_alpha_winner(p: Profile) -> int:
@@ -256,7 +273,7 @@ def _profile_dependent_alpha_winner(p: Profile) -> int:
     # dividing by 2, and that of alpha_k = 1 is (2, 0, 1)
     n, first = p.n, lefts[1]
     coeffs = ((first, 2 * n - first, n),) + ((2, 0, 1),) * (p.m - 2)
-    return scan_winner(coeffs, lefts, rights, n)
+    return _scan_winner(coeffs, lefts, rights, n)
 
 
 def _constant(m: int, winner=1) -> RuleFn:
@@ -363,16 +380,28 @@ def _disjoint_pairs(m: int, total_max: int) -> Iterator[tuple[Profile, Profile]]
 
 
 def _renamings(m: int, n_max: int) -> Iterator[tuple[Profile, dict]]:
-    for p in _identified_profiles(m, n_max):
-        ids = sorted(p.voters)
-        for perm in itertools.permutations(ids):
-            yield p, dict(zip(ids, perm))
+    """Every profile with every renaming of its ids 1..n, the n! renamings
+    built once per size n after their instance count is held to the budget."""
+    budget = enumeration_budget()
+    for n in range(1, n_max + 1):
+        count = profile_count(m, n) * math.factorial(n)
+        if count > budget:
+            raise TooLarge(
+                f"anonymity campaign of {count} instances exceeds budget {budget}"
+            )
+        ids = range(1, n + 1)
+        mappings = [dict(zip(ids, perm)) for perm in itertools.permutations(ids)]
+        for p in _profiles(m, n):
+            for mapping in mappings:
+                yield p, mapping
 
 
 def _voters(m: int, n_max: int) -> Iterator[tuple[Profile, VoterId]]:
-    for p in _identified_profiles(m, n_max):
-        for voter in sorted(p.voters, key=str):
-            yield p, voter
+    for n in range(1, n_max + 1):
+        order = sorted(range(1, n + 1), key=str)
+        for p in _profiles(m, n):
+            for voter in order:
+                yield p, voter
 
 
 def _interval_changes(m: int, n_max: int) -> Iterator[tuple[Profile, VoterId, Interval]]:

@@ -278,6 +278,25 @@ class TestMalformedInput:
         assert "error: one of --rule or --fixture is required" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "--m", "4", "--axiom", "unanimity"],
+            ["falsify", "--m", "4", "--axioms", "unanimity"],
+            ["winner"],
+        ],
+    )
+    def test_rule_and_fixture_together(self, capsys, em_rule, figure_profile, argv):
+        # neither may win silently: the fixture would be audited in place
+        # of the rule file
+        if argv == ["winner"]:
+            argv = ["winner", "--profile", figure_profile]
+        code = main([*argv, "--rule", em_rule, "--fixture", "constant"])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: use one of --rule or --fixture, not both\n"
+
+    @pytest.mark.parametrize(
         "spec, message",
         [
             ("constant:winner", "bad fixture parameter 'winner'"),
@@ -532,6 +551,18 @@ class TestAudit:
         assert code == EXIT_BUDGET
         assert capsys.readouterr().err == (
             f"error: enumeration of {count} profiles exceeds budget {budget}\n"
+        )
+
+    def test_anonymity_renamings_over_budget(self, capsys, monkeypatch):
+        # m = 2 has 15 profiles of 4 voters, each with 4! = 24 renamings;
+        # 360 instances exceed the budget though 15 profiles do not
+        monkeypatch.setenv("INTERVAL_VOTE_BUDGET", "100")
+        argv = ["audit", "--fixture", "constant", "--m", "2", "--axiom", "anonymity"]
+        assert run(capsys, *argv, "--n-max", "3")[0] == EXIT_OK
+        code = main([*argv, "--n-max", "4"])
+        assert code == EXIT_BUDGET
+        assert capsys.readouterr().err == (
+            "error: anonymity campaign of 360 instances exceeds budget 100\n"
         )
 
     def test_unknown_axiom(self, capsys, em_rule):

@@ -6,6 +6,8 @@ singleton decomposition, the endpoint-median oracle or the phantom-median
 rule.
 """
 
+import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,9 @@ from intervalvote.core import (
     VotingError,
     anonymize,
     canonical_intervals,
+    combine,
+    replicate,
+    replications,
 )
 from intervalvote.rules import (
     ONE_HALF,
@@ -251,7 +256,6 @@ def test_oracles_do_not_use_the_kernel(monkeypatch):
         "collective_position",
         "collective_positions",
         "endpoint_histogram",
-        "scan_winner",
     ):
         monkeypatch.setattr(rules, name, kernel_called)
     with pytest.raises(AssertionError):
@@ -280,15 +284,12 @@ class TestFixturesAgainstDefinition:
 
 def even_doubled_definition(p: Profile) -> int:
     """All-1/2 positions summed in `Fraction`, with the ballot of every
-    even integer (or integer-string) voter id counted twice."""
+    even integer voter id counted twice; string ids count once."""
     half = WeightVector.constant(p.m, ONE_HALF)
-    weighted = []
-    for voter, iv in p.voters.items():
-        try:
-            weight = 2 if int(voter) % 2 == 0 else 1
-        except (TypeError, ValueError):
-            weight = 1
-        weighted.append((iv, weight))
+    weighted = [
+        (iv, 2 if isinstance(voter, int) and voter % 2 == 0 else 1)
+        for voter, iv in p.voters.items()
+    ]
     total = sum(w for _, w in weighted)
     for i in range(1, p.m + 1):
         pos = sum(w * individual_position(half, iv, i) for iv, w in weighted)
@@ -314,12 +315,77 @@ def mixed_id_profiles(draw):
 
 @settings(max_examples=300)
 @given(mixed_id_profiles())
-# exact ties at x_1: "4" counts twice, so L_1 + R_1 = 4 = the number of
+# exact ties at x_1: 4 counts twice, so L_1 + R_1 = 4 = the number of
 # doubled ballots; with integer ids and a non-numeric id
-@example(Profile(2, {"4": Interval(1, 1), 1: Interval(2, 2), 3: Interval(2, 2)}))
+@example(Profile(2, {4: Interval(1, 1), 1: Interval(2, 2), 3: Interval(2, 2)}))
 @example(Profile(3, {2: Interval(1, 2), "a#2": Interval(2, 3), 5: Interval(3, 3)}))
+# "4" counts once, so x_1 ties; doubled, it would move the winner to x_3
+@example(Profile(3, {"4": Interval(3, 3), 1: Interval(1, 1)}))
 def test_even_doubled_winner(p):
     assert search._even_doubled_winner(p) == even_doubled_definition(p)
+
+
+@settings(max_examples=200)
+@given(mixed_id_profiles(), st.integers(2, 4))
+@example(Profile(3, {"4": Interval(3, 3), 1: Interval(1, 1)}), 2)
+def test_even_doubled_winner_survives_replication(p, k):
+    """Every copy of a voter counts as often as its original, so k copies
+    of a profile elect its winner."""
+    winner = search._even_doubled_winner(p)
+    assert search._even_doubled_winner(replicate(p, k)) == winner
+
+
+@st.composite
+def derived_cases(draw):
+    """(rule, profile) with a profile that a campaign derives from a drawn
+    one, or that has mixed integer and string ids."""
+    rule, p = draw(cases())
+    m = rule.m
+    how = draw(st.sampled_from(["with_interval", "combine", "replications", "mixed"]))
+    if how == "with_interval":
+        voter = draw(st.sampled_from(sorted(p.voters)))
+        return rule, p.with_interval(voter, draw(st.sampled_from(canonical_intervals(m))))
+    if how == "mixed":
+        ids = draw(st.lists(VOTER_IDS, min_size=p.n, max_size=p.n, unique=True))
+        return rule, Profile(m, dict(zip(ids, p.voters.values())))
+    rest = draw(profiles(m, n_max=4))
+    rest = Profile(m, {-v: iv for v, iv in rest.voters.items()})
+    if how == "combine":
+        return rule, combine(p, rest)
+    steps = replications(p, rest)
+    return rule, next(itertools.islice(steps, draw(st.integers(0, 2)), None))
+
+
+@settings(max_examples=300)
+@given(derived_cases())
+def test_winner_on_derived_profiles_matches_naive_sum(case):
+    rule, p = case
+    expected = naive_winner(rule.alpha, rule.theta, p)
+    assert ptr_winner(rule, p) == ptr_winner(rule, anonymize(p)) == expected
+
+
+def test_identified_evaluation_runs_three_python_frames():
+    """A rule evaluation on an identified profile runs `RuleFn.__call__`,
+    the method and the kernel, and no Python-level helper below them."""
+    f = RuleFn.from_ptr(endpoint_median_rule(4))
+    p = Profile(4, {1: Interval(1, 2), 2: Interval(2, 4), 3: Interval(3, 3)})
+    frames = []
+
+    def record(frame, event, arg):
+        if event == "call":
+            frames.append((frame.f_globals["__name__"], frame.f_code.co_name))
+
+    sys.setprofile(record)
+    try:
+        winner = f(p)
+    finally:
+        sys.setprofile(None)
+    assert winner == 2
+    assert frames == [
+        ("intervalvote.axioms", "__call__"),
+        ("intervalvote.rules", "winner"),
+        ("intervalvote.rules", "ptr_winner"),
+    ]
 
 
 def test_cached_terms_leave_rule_identity_unchanged():

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from intervalvote.core import AnonProfile, Interval, Profile, VotingError, anonymize
+from intervalvote.core import (
+    AnonProfile,
+    Interval,
+    Profile,
+    VotingError,
+    anonymize,
+    interval_table,
+)
 from intervalvote.rules import (
     PositionThresholdRule,
     ThresholdVector,
@@ -27,6 +34,7 @@ from intervalvote.axioms import (
     VACUOUS_PASS,
     VIOLATION,
     RuleFn,
+    check_anonymity,
     check_majority_criterion,
     check_strong_unanimity,
     replay_violation,
@@ -128,6 +136,36 @@ class TestEnumeration:
         )
         got = [(self._ordered(p1), self._ordered(p2)) for p1, p2 in _disjoint_pairs(m, total_max)]
         assert got == [(self._ordered(p1), self._ordered(p2)) for p1, p2 in nested]
+
+    @pytest.mark.parametrize("m, n_max", [(3, 4), (4, 3)])
+    def test_shared_renamings_match_per_profile_renamings(self, m, n_max):
+        naive = [
+            (self._ordered(p), dict(zip(sorted(p.voters), perm)))
+            for p in _identified_profiles(m, n_max)
+            for perm in itertools.permutations(sorted(p.voters))
+        ]
+        # every mapping is compared after the whole stream is out and has
+        # been checked, so one that its producer or the checker changes
+        # after it was yielded shows
+        got = list(search._renamings(m, n_max))
+        f = fixture("constant", m)
+        for p, mapping in got:
+            check_anonymity(f, p, mapping)
+        assert [(self._ordered(p), mapping) for p, mapping in got] == naive
+
+    @pytest.mark.parametrize("m, n_max", [(3, 4), (4, 3), (2, 11)])
+    def test_shared_voter_order_matches_per_profile_order(self, m, n_max):
+        # from n = 10 on, the str order puts voter 10 before voter 2
+        naive = [
+            (self._ordered(p), voter)
+            for p in _identified_profiles(m, n_max)
+            for voter in sorted(p.voters, key=str)
+        ]
+        assert [(self._ordered(p), v) for p, v in search._voters(m, n_max)] == naive
+        changes = search._interval_changes(m, n_max)
+        assert [(self._ordered(p), v, iv) for p, v, iv in changes] == [
+            (ordered, v, iv) for ordered, v in naive for iv in interval_table(m)
+        ]
 
     def test_random_profile_seeded(self):
         a = random_profile(5, 10, seed=42)
