@@ -116,13 +116,13 @@ def _scan_result(violations: list[Violation]) -> CheckResult:
 
 
 def robustness_violation(
-    p: Profile, voter: VoterId, side: str, before: int, after: int
+    profile: dict, voter: VoterId, side: str, before: int, after: int
 ) -> Violation:
     """The robustness violation of deleting `voter`'s `side` endpoint in
-    `p`, which moved the winner from `before` to `after`."""
+    the serialized `profile`, which moved the winner from `before` to `after`."""
     return Violation(
         axiom="robustness",
-        witness={"profile": p.to_json(), "voter": voter, "side": side},
+        witness={"profile": profile, "voter": voter, "side": side},
         observed={"before": before, "after": after},
         required="winner unchanged, or moved one step off the deleted endpoint",
     )
@@ -132,6 +132,7 @@ def check_robustness(f: RuleFn, p: Profile) -> CheckResult:
     """Deleting a voter's extreme alternative must keep the winner or
     move it one step inward from that extreme."""
     violations = []
+    profile = None
     before = f(p)
     for voter in sorted(p.voters, key=str):
         iv = p.interval(voter)
@@ -140,7 +141,9 @@ def check_robustness(f: RuleFn, p: Profile) -> CheckResult:
         for side in ("left", "right"):
             after = f(delete_endpoint(p, voter, side))
             if not robust_step(iv, side, before, after):
-                violations.append(robustness_violation(p, voter, side, before, after))
+                if profile is None:
+                    profile = p.to_json()
+                violations.append(robustness_violation(profile, voter, side, before, after))
     return _scan_result(violations)
 
 
@@ -226,7 +229,7 @@ def check_anonymity(
 
 
 def check_right_biased_continuity(
-    f: RuleFn, p1: Profile, p2: Profile, lambda_max: int = 1000
+    f: RuleFn, p1: Profile, p2: Profile, lambda_max: int
 ) -> CheckResult:
     """Replicating p1 must eventually pin the combined winner.
 
@@ -276,6 +279,7 @@ def check_strategyproofness(f: RuleFn, p: Profile, voter: VoterId) -> CheckResul
     truth = p.interval(voter)
     honest = f(p)
     violations = []
+    profile = None
     for report in interval_table(p.m):
         if report == truth:
             continue
@@ -283,11 +287,13 @@ def check_strategyproofness(f: RuleFn, p: Profile, voter: VoterId) -> CheckResul
         if not some_wsp_prefers(truth, outcome, honest):
             continue
         pref = first_wsp_witness(p.m, truth, outcome, honest).to_json()
+        if profile is None:
+            profile = p.to_json()
         violations.append(
             Violation(
                 axiom="strategyproofness",
                 witness={
-                    "profile": p.to_json(),
+                    "profile": profile,
                     "voter": voter,
                     "preference": pref,
                     "report": [report.left, report.right],

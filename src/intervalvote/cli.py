@@ -88,6 +88,8 @@ def _load_rule_fn(args, m: Optional[int] = None) -> RuleFn:
     if args.rule and args.fixture:
         raise VotingError("use one of --rule or --fixture, not both")
     if args.fixture:
+        if args.unchecked:
+            raise VotingError("--unchecked applies to a --rule file, not to --fixture")
         tag, params = _parse_fixture_spec(args.fixture)
         if m is None:
             raise VotingError("--fixture requires --m")

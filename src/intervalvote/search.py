@@ -10,7 +10,6 @@ multiset of canonical intervals with integer ids in canonical order;
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import math
 import os
@@ -65,7 +64,6 @@ from .rules import (
     WeightVector,
     check_compatible,
     endpoint_histogram,
-    endpoint_median_rule,
 )
 
 BUDGET_ENV = "INTERVAL_VOTE_BUDGET"
@@ -197,17 +195,16 @@ def sample_vector_pairs(
 # fixture rules
 
 
-def _median_of_endpoints(p: Profile, which: str) -> int:
-    endpoints = [
-        iv.left if which == "left" else iv.right for iv in p.voters.values()
-    ]
-    n = len(endpoints)
-    count = 0
-    for i in range(1, p.m + 1):
-        count += sum(1 for e in endpoints if e == i)
-        if 2 * count >= n:
-            return i
-    raise AssertionError("unreachable")
+def _first_reaching(counts: list[int], target: int, m: int) -> int:
+    """The first k in 1..m-1 with counts[1] + ... + counts[k] >= target,
+    or m when there is none: the target-th smallest of the endpoints
+    that `counts` tallies by alternative."""
+    total = 0
+    for k in range(1, m):
+        total += counts[k]
+        if total >= target:
+            return k
+    return m
 
 
 def _ceil_log2(n: int) -> int:
@@ -217,49 +214,39 @@ def _ceil_log2(n: int) -> int:
 
 
 def _log_parity_winner(p: Profile) -> int:
-    side = "left" if _ceil_log2(p.n) % 2 == 1 else "right"
-    return _median_of_endpoints(p, side)
+    """The median left endpoint when ceil(log2(n)) is odd, the median
+    right endpoint when it is even."""
+    counts = [0] * (p.m + 1)
+    left = _ceil_log2(p.n) % 2 == 1
+    for iv in p.voters.values():
+        counts[iv.left if left else iv.right] += 1
+    return _first_reaching(counts, (p.n + 1) // 2, p.m)
 
 
-def _scan_winner(
-    coeffs: tuple[tuple[int, int, int], ...],
-    lefts: list[int],
-    rights: list[int],
-    n: int,
-    offset: int = 0,
-) -> int:
-    """The `rules.ptr_winner` scan for the fixtures: the first k with
-    A_k * L_k + B_k * R_k >= C_k * n + offset, L_k and R_k the running sums
-    of `lefts` and `rights`; len(coeffs) + 1 when no test holds."""
-    L = R = k = 0
-    for A, B, C in coeffs:
-        k += 1
-        L += lefts[k]
-        R += rights[k]
-        if A * L + B * R >= C * n + offset:
-            return k
-    return k + 1
-
-
-def _strict_threshold_winner(rule: PositionThresholdRule, p: Profile) -> int:
-    """`rule` with every threshold test made strict (Pi > theta * n)."""
-    lefts, rights = endpoint_histogram(p, rule.m)
-    return _scan_winner(rule.coeffs, lefts, rights, p.n, 1)
+def _strict_threshold_winner(p: Profile) -> int:
+    """The all-1/2 rule with every threshold test made strict: Pi(x_k) > n/2
+    is L_k + R_k >= n + 1, so x_k is the (n+1)-th smallest of the 2n
+    endpoints."""
+    counts = [0] * (p.m + 1)
+    for iv in p.voters.values():
+        counts[iv.left] += 1
+        counts[iv.right] += 1
+    return _first_reaching(counts, p.n + 1, p.m)
 
 
 def _even_doubled_winner(p: Profile) -> int:
     """Endpoint-median with ballots of even integer voter ids counted twice;
     a string id counts once, as do the copies `core.replicate` makes of it.
 
-    With alpha = theta = 1/2, Pi(x_k) >= n/2 over the n doubled ballots
-    is L_k + R_k >= n in integers.
+    With alpha = theta = 1/2, Pi(x_k) >= W/2 over the W weighted ballots
+    is L_k + R_k >= W: the median of the 2W weighted endpoints.
     """
-    lefts, rights = [0] * (p.m + 1), [0] * (p.m + 1)
+    counts = [0] * (p.m + 1)
     for voter, iv in p.voters.items():
         weight = 2 if isinstance(voter, int) and voter % 2 == 0 else 1
-        lefts[iv.left] += weight
-        rights[iv.right] += weight
-    return _scan_winner(((1, 1, 1),) * (p.m - 1), lefts, rights, sum(lefts))
+        counts[iv.left] += weight
+        counts[iv.right] += weight
+    return _first_reaching(counts, sum(counts) // 2, p.m)
 
 
 def _profile_dependent_alpha_winner(p: Profile) -> int:
@@ -267,13 +254,14 @@ def _profile_dependent_alpha_winner(p: Profile) -> int:
     voters excluding x_1; behaves like a different threshold rule per
     profile, which no fixed vector pair can reproduce."""
     lefts, rights = endpoint_histogram(p, p.m)
-    # a_1 = 1/2 - excluded / (2n) = lefts[1] / (2n): only voters whose
-    # interval starts at x_1 contain it.  With theta = 1/2 the (A, B, C)
-    # of alpha_1 = lefts[1] / (2n) is (lefts[1], 2n - lefts[1], n) after
-    # dividing by 2, and that of alpha_k = 1 is (2, 0, 1)
-    n, first = p.n, lefts[1]
-    coeffs = ((first, 2 * n - first, n),) + ((2, 0, 1),) * (p.m - 2)
-    return _scan_winner(coeffs, lefts, rights, n)
+    # a_1 = 1/2 - excluded / (2n) = l_1 / (2n): only voters whose interval
+    # starts at x_1 contain it.  Pi(x_1) = r_1 + a_1 (l_1 - r_1) >= n/2 is
+    # 2n r_1 + l_1 (l_1 - r_1) >= n^2; every later a_k is 1, so past x_1
+    # the winner is the median left endpoint
+    n, l1, r1 = p.n, lefts[1], rights[1]
+    if 2 * n * r1 + l1 * (l1 - r1) >= n * n:
+        return 1
+    return max(2, _first_reaching(lefts, (n + 1) // 2, p.m))
 
 
 def _constant(m: int, winner=1) -> RuleFn:
@@ -287,10 +275,7 @@ def _constant(m: int, winner=1) -> RuleFn:
 # for the profile-dependent weights, fixed-vector representability).
 FIXTURES: dict[str, Callable[..., RuleFn]] = {
     "constant": _constant,
-    "strict-threshold": lambda m: RuleFn(
-        m, functools.partial(_strict_threshold_winner, endpoint_median_rule(m)),
-        "strict-threshold",
-    ),
+    "strict-threshold": lambda m: RuleFn(m, _strict_threshold_winner, "strict-threshold"),
     "log-parity": lambda m: RuleFn(m, _log_parity_winner, "log-parity"),
     "even-voter-doubled": lambda m: RuleFn(m, _even_doubled_winner, "even-voter-doubled"),
     "profile-dependent-alpha": lambda m: RuleFn(
@@ -536,7 +521,7 @@ def incompatibility_witness(
     before, after = f(p), f(delete_endpoint(p, 1, "left"))
     if robust_step(mover, "left", before, after):
         raise AssertionError(f"incompatible pair gave a robust step at index {i}")
-    return robustness_violation(p, 1, "left", before, after)
+    return robustness_violation(p.to_json(), 1, "left", before, after)
 
 
 def _fraction_strictly_between(lo: Fraction, hi: Fraction) -> Fraction:

@@ -251,7 +251,7 @@ class TestContinuity:
         p1 = Profile(2, {1: Interval(1, 1)})
         p2 = Profile(2, {2: Interval(1, 2)})
         f, calls = recorded(em(2))
-        result = check_right_biased_continuity(f, p1, p2)
+        result = check_right_biased_continuity(f, p1, p2, lambda_max=10)
         assert result.status == SATISFIED
         assert result.detail == {"case": "i", "lambda": 0}
         assert [q.n for q in calls] == [1, 1]
@@ -260,7 +260,7 @@ class TestContinuity:
         p1 = Profile(2, {1: Interval(2, 2)})
         p2 = Profile(2, {2: Interval(1, 1)})
         f, calls = recorded(em(2))
-        result = check_right_biased_continuity(f, p1, p2)
+        result = check_right_biased_continuity(f, p1, p2, lambda_max=10)
         assert result.status == SATISFIED
         assert result.detail == {"case": "i", "lambda": 2}
         assert [q.n for q in calls] == [1, 1, 2, 3]
@@ -269,7 +269,7 @@ class TestContinuity:
         # one copy of p1 ties at x_1; the second copy tips it to x_2
         p1 = Profile(2, {"a": Interval(2, 2)})
         p2 = Profile(2, {"b": Interval(1, 1)})
-        result = check_right_biased_continuity(em(2), p1, p2)
+        result = check_right_biased_continuity(em(2), p1, p2, lambda_max=10)
         assert result.status == SATISFIED
         assert result.detail == {"case": "i", "lambda": 2}
 
@@ -279,7 +279,7 @@ class TestContinuity:
         p1 = Profile(2, {"a": Interval(2, 2)})
         p2 = Profile(2, {"a#2": Interval(1, 1)})
         f, calls = recorded(em(2))
-        result = check_right_biased_continuity(f, p1, p2)
+        result = check_right_biased_continuity(f, p1, p2, lambda_max=10)
         assert result.detail == {"case": "i", "lambda": 2}
         assert [q.n for q in calls] == [1, 1, 2, 3]
 
@@ -288,7 +288,7 @@ class TestContinuity:
         p1 = Profile(3, {1: Interval(1, 3)})
         p2 = Profile(3, {2: Interval(2, 2)})
         f, calls = recorded(em(3))
-        result = check_right_biased_continuity(f, p1, p2)
+        result = check_right_biased_continuity(f, p1, p2, lambda_max=10)
         assert result.status == SATISFIED
         assert result.detail == {"case": "ii", "lambda": 0, "bound": 2}
         assert [q.n for q in calls] == [1, 1]
@@ -297,7 +297,7 @@ class TestContinuity:
         p1 = Profile(3, {1: Interval(1, 2)})
         p2 = Profile(3, {2: Interval(3, 3)})
         f, calls = recorded(em(3))
-        result = check_right_biased_continuity(f, p1, p2)
+        result = check_right_biased_continuity(f, p1, p2, lambda_max=10)
         assert result.status == SATISFIED
         assert result.detail == {"case": "ii", "lambda": 1, "bound": 2}
         assert [q.n for q in calls] == [1, 1, 2]
@@ -337,7 +337,7 @@ class TestContinuity:
     def test_disjointness_required(self):
         p = Profile(2, {1: Interval(1, 1)})
         with pytest.raises(VotingError):
-            check_right_biased_continuity(em(2), p, p)
+            check_right_biased_continuity(em(2), p, p, lambda_max=10)
 
     @staticmethod
     def assert_steps_match_oracle(p1, p2, lambda_max=4):
@@ -402,6 +402,48 @@ class TestStrategyproofness:
         observed = {(v.observed["honest"], v.observed["manipulated"]) for v in violations}
         assert (3, 1) in observed
         assert all(replay_violation(f, v.to_json()) for v in violations)
+
+
+class TestWitnessSerialization:
+    """A checker that finds several violations in one instance serializes
+    the profile once, and every witness shares that serialization."""
+
+    @pytest.fixture
+    def serialized(self, monkeypatch):
+        calls = []
+        to_json = Profile.to_json
+
+        def counting(p):
+            calls.append(p)
+            return to_json(p)
+
+        monkeypatch.setattr(Profile, "to_json", counting)
+        return calls
+
+    def assert_one_shared_profile(self, result, serialized):
+        assert result.status == VIOLATION and len(result.violations) > 1
+        assert len(serialized) == 1
+        shared = result.violation.witness["profile"]
+        assert all(v.witness["profile"] is shared for v in result.violations)
+
+    def test_robustness(self, serialized):
+        # x_1 on the profile, x_3 after any deletion: four violations
+        p = Profile(3, {1: Interval(1, 3), 2: Interval(1, 3)})
+        f = RuleFn(3, lambda q: 1 if q is p else 3)
+        result = check_robustness(f, p)
+        self.assert_one_shared_profile(result, serialized)
+        assert len(result.violations) == 4
+        serialized.clear()
+        assert check_robustness(em(3), p).status == PASS
+        assert serialized == []
+
+    def test_strategyproofness(self, serialized):
+        f = early_descent(3)
+        p = Profile(3, {1: Interval(1, 3), 2: Interval(2, 2), 3: Interval(3, 3)})
+        self.assert_one_shared_profile(check_strategyproofness(f, p, 2), serialized)
+        serialized.clear()
+        assert check_strategyproofness(f, p, 1).status == PASS
+        assert serialized == []
 
 
 def early_descent(m):

@@ -297,6 +297,25 @@ class TestMalformedInput:
         assert captured.err == "error: use one of --rule or --fixture, not both\n"
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "--m", "3", "--axiom", "unanimity"],
+            ["falsify", "--m", "3", "--axioms", "unanimity"],
+            ["winner"],
+        ],
+    )
+    def test_unchecked_with_fixture(self, capsys, files, argv):
+        # the flag only means something for a rule file
+        if argv == ["winner"]:
+            profile = files("p.json", {"m": 3, "voters": [{"id": 1, "interval": [1, 1]}]})
+            argv = ["winner", "--profile", profile]
+        code = main([*argv, "--fixture", "constant:winner=2", "--unchecked"])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --unchecked applies to a --rule file, not to --fixture\n"
+
+    @pytest.mark.parametrize(
         "spec, message",
         [
             ("constant:winner", "bad fixture parameter 'winner'"),

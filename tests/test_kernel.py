@@ -263,18 +263,61 @@ def test_oracles_do_not_use_the_kernel(monkeypatch):
     assert answers() == before
 
 
+def log_parity_definition(p: Profile) -> int:
+    """The ceil(n/2)-th smallest left endpoint when ceil(log2(n)) is odd,
+    right endpoint when it is even, from a sorted list."""
+    exponent = next(k for k in itertools.count() if 2**k >= p.n)
+    side = "left" if exponent % 2 == 1 else "right"
+    endpoints = sorted(getattr(iv, side) for iv in p.voters.values())
+    return endpoints[(p.n + 1) // 2 - 1]
+
+
+def split_profile(n: int) -> Profile:
+    """(n - 1) // 2 voters on [x_1, x_2], the rest on [x_2, x_3]: the left
+    and right medians differ, and for odd n so do the floor(n/2)-th and
+    ceil(n/2)-th smallest endpoints."""
+    low = (n - 1) // 2
+    return Profile(
+        3, {v: Interval(1, 2) if v <= low else Interval(2, 3) for v in range(1, n + 1)}
+    )
+
+
+ANY_PROFILE = st.integers(2, 6).flatmap(profiles)
+
+
 class TestFixturesAgainstDefinition:
     @settings(max_examples=200)
-    @given(st.one_of(cases(), cases(ties=True)))
-    def test_strict_threshold_winner(self, case):
-        rule, p = case
-        expected = naive_winner(rule.alpha, rule.theta, p, strict=True)
-        assert search._strict_threshold_winner(rule, p) == expected
+    @given(ANY_PROFILE)
+    def test_strict_threshold_winner(self, p):
+        """The registered fixture is the all-1/2 rule with strict tests."""
+        em = endpoint_median_rule(p.m)
+        expected = naive_winner(em.alpha, em.theta, p, strict=True)
+        assert search._strict_threshold_winner(p) == expected
 
     @settings(max_examples=200)
-    @given(st.data(), st.integers(2, 6))
-    def test_profile_dependent_alpha_winner(self, data, m):
-        p = data.draw(profiles(m))
+    @given(st.integers(2, 6).flatmap(lambda m: profiles(m, n_max=20)))
+    # n = 2^k and 2^k +- 1, where ceil(log2(n)) changes parity
+    @example(split_profile(1))
+    @example(split_profile(2))
+    @example(split_profile(3))
+    @example(split_profile(4))
+    @example(split_profile(5))
+    @example(split_profile(7))
+    @example(split_profile(8))
+    @example(split_profile(9))
+    @example(split_profile(16))
+    @example(split_profile(17))
+    def test_log_parity_winner(self, p):
+        assert search._log_parity_winner(p) == log_parity_definition(p)
+
+    @settings(max_examples=200)
+    @given(ANY_PROFILE)
+    # a tie at x_1 elects x_1: a_1 = 1/4, and Pi(x_1) = 1 = n/2
+    @example(Profile(3, {1: Interval(1, 1), 2: Interval(3, 3)}))
+    # the median left endpoint is x_1, but the x_1 test fails: x_2 wins
+    @example(Profile(3, {1: Interval(1, 2), 2: Interval(2, 2)}))
+    def test_profile_dependent_alpha_winner(self, p):
+        m = p.m
         excluded = sum(1 for iv in p.voters.values() if iv.left > 1)
         a1 = ONE_HALF - Fraction(excluded, 2 * p.n)
         alpha = WeightVector(m, (a1,) + (Fraction(1),) * (m - 1))

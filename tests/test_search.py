@@ -463,6 +463,68 @@ REPLAY_COVERAGE = {
 }
 
 
+# The five fixtures x the five characterization axioms at the same
+# bounds: (ptr_winner calls, checker calls, the campaign's nonzero
+# `by_status` counts).  No fixture evaluates through the kernel.
+CHARACTERIZATION_AXIOMS = ("robustness", "reinforcement", "unanimity", "anonymity", "continuity")
+FIXTURE_COVERAGE = {
+    "constant": {
+        "robustness": (0, 27, {"pass": 27}),
+        "reinforcement": (0, 288, {"pass": 288}),
+        "unanimity": (0, 2, {"pass": 1, "violation": 1}),
+        "anonymity": (0, 48, {"pass": 48}),
+        "continuity": (0, 288, {"satisfied": 288}),
+    },
+    "strict-threshold": {
+        "robustness": (0, 27, {"pass": 27}),
+        "reinforcement": (0, 288, {"pass": 110, "vacuous": 178}),
+        "unanimity": (0, 3, {"pass": 3}),
+        "anonymity": (0, 48, {"pass": 48}),
+        "continuity": (0, 288, {"satisfied": 232, "undetermined": 56}),
+    },
+    "log-parity": {
+        "robustness": (0, 27, {"pass": 27}),
+        "reinforcement": (0, 8, {"pass": 1, "vacuous": 6, "violation": 1}),
+        "unanimity": (0, 3, {"pass": 3}),
+        "anonymity": (0, 48, {"pass": 48}),
+        "continuity": (0, 288, {"satisfied": 288}),
+    },
+    "even-voter-doubled": {
+        "robustness": (0, 27, {"pass": 27}),
+        "reinforcement": (0, 288, {"pass": 104, "vacuous": 184}),
+        "unanimity": (0, 3, {"pass": 3}),
+        "anonymity": (0, 14, {"pass": 13, "violation": 1}),
+        "continuity": (0, 288, {"satisfied": 288}),
+    },
+    "profile-dependent-alpha": {
+        "robustness": (0, 27, {"pass": 27}),
+        "reinforcement": (0, 61, {"pass": 26, "vacuous": 34, "violation": 1}),
+        "unanimity": (0, 3, {"pass": 3}),
+        "anonymity": (0, 48, {"pass": 48}),
+        "continuity": (0, 288, {"satisfied": 288}),
+    },
+}
+
+
+def _count_calls(monkeypatch) -> collections.Counter:
+    """Count `ptr_winner` calls and the checker calls of `search`'s
+    axiom streams in the returned counter."""
+    calls = collections.Counter()
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(rules, "ptr_winner", counting("ptr_winner", rules.ptr_winner))
+    checkers = [n for n in vars(search) if n.startswith("check_") and n != "check_compatible"]
+    for checker in checkers:
+        monkeypatch.setattr(search, checker, counting("checker", getattr(search, checker)))
+    return calls
+
+
 class TestCoverageGuard:
     @pytest.mark.parametrize(
         "name, make",
@@ -472,19 +534,7 @@ class TestCoverageGuard:
         ],
     )
     def test_call_counts_are_pinned(self, monkeypatch, name, make):
-        calls = collections.Counter()
-
-        def counting(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(rules, "ptr_winner", counting("ptr_winner", rules.ptr_winner))
-        checkers = [n for n in vars(search) if n.startswith("check_") and n != "check_compatible"]
-        for checker in checkers:
-            monkeypatch.setattr(search, checker, counting("checker", getattr(search, checker)))
+        calls = _count_calls(monkeypatch)
         f = make()
         seen, replayed = {}, {}
         for axiom in AXIOM_TAGS:
@@ -497,6 +547,19 @@ class TestCoverageGuard:
                 replayed[axiom] = calls["ptr_winner"]
         assert seen == COVERAGE[name]
         assert replayed == REPLAY_COVERAGE[name]
+
+    def test_fixture_counts_are_pinned(self, monkeypatch):
+        calls = _count_calls(monkeypatch)
+        seen = {}
+        for tag in FIXTURE_TAGS:
+            f = fixture(tag, 3)
+            seen[tag] = {}
+            for axiom in CHARACTERIZATION_AXIOMS:
+                calls.clear()
+                campaign = falsify(f, axiom, COVERAGE_BOUNDS)
+                by_status = {k: v for k, v in campaign.by_status.items() if v}
+                seen[tag][axiom] = (calls["ptr_winner"], calls["checker"], by_status)
+        assert seen == FIXTURE_COVERAGE
 
 
 class TestFixtures:
