@@ -81,10 +81,10 @@ class Violation:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """What every checker returns.  `violation` is the first witness;
-    checkers that scan several deviations of one instance (robustness,
-    strategyproofness) also list every witness they found in
-    `violations`.
+    """What every checker returns.  A violation lists its witnesses in
+    `violations`, first witness first; checkers that scan several
+    deviations of one instance (robustness, strategyproofness) list one
+    per deviation they found.
 
     A pass or vacuous pass carries nothing but its status, so it is one
     of the shared module constants `PASSED` and `VACUOUS_PASS`, and a
@@ -93,9 +93,13 @@ class CheckResult:
     """
 
     status: str
-    violation: Optional[Violation] = None
-    detail: Mapping = field(default_factory=dict)
     violations: tuple[Violation, ...] = ()
+    detail: Mapping = field(default_factory=dict)
+
+    @property
+    def violation(self) -> Optional[Violation]:
+        """The first witness, or None."""
+        return self.violations[0] if self.violations else None
 
 
 _NO_DETAIL = MappingProxyType({})
@@ -106,13 +110,7 @@ VACUOUS_PASS = CheckResult(VACUOUS, detail=_NO_DETAIL)
 def _violated(axiom: str, observed, required, **witness) -> CheckResult:
     """The result of one violation of `axiom`; the keyword arguments are
     the witness's fields, in the order they are serialized."""
-    return CheckResult(VIOLATION, Violation(axiom, witness, observed, required))
-
-
-def _scan_result(violations: list[Violation]) -> CheckResult:
-    if not violations:
-        return PASSED
-    return CheckResult(VIOLATION, violations[0], violations=tuple(violations))
+    return CheckResult(VIOLATION, (Violation(axiom, witness, observed, required),))
 
 
 def robustness_violation(
@@ -144,7 +142,7 @@ def check_robustness(f: RuleFn, p: Profile) -> CheckResult:
                 if profile is None:
                     profile = p.to_json()
                 violations.append(robustness_violation(profile, voter, side, before, after))
-    return _scan_result(violations)
+    return CheckResult(VIOLATION, tuple(violations)) if violations else PASSED
 
 
 def check_reinforcement(f: RuleFn, p1: Profile, p2: Profile) -> CheckResult:
@@ -302,7 +300,7 @@ def check_strategyproofness(f: RuleFn, p: Profile, voter: VoterId) -> CheckResul
                 required="honest outcome weakly preferred",
             )
         )
-    return _scan_result(violations)
+    return CheckResult(VIOLATION, tuple(violations)) if violations else PASSED
 
 
 def _uncompromising_condition(

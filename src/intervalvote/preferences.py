@@ -89,14 +89,12 @@ def first_wsp_witness(m: int, plateau: Interval, o: int, h: int) -> WeakOrder:
 
     Orders are ranked as ordered partitions of the other alternatives,
     each next class chosen by ascending subset mask over them in
-    increasing order; this fixes which witness a campaign reports.  On
-    weakly single-peaked orders that ranking lists the chains of
-    extensions depth first: each step adds the a nearest alternatives
-    left and the b nearest right of the covered interval,
-    (a, b) != (0, 0), with b ascending in the outer loop and a in the
-    inner one.  The first matching chain takes, at every step, the first
-    extension that does not reach `h` before `o`; reaching both in one
-    step would rank them equal.
+    increasing order; this fixes which witness a campaign reports.  In
+    that ranking the extensions of the covered interval [lo, hi] start
+    with {x_{lo-1}}, then the other left-only classes, all of which hold
+    x_{lo-1}, then {x_{hi+1}}.  So the first witness ranks one
+    alternative per class: the next on the left, unless that is `h`
+    while `o` is not yet ranked, and otherwise the next on the right.
     """
     plateau.validate(m)
     if not some_wsp_prefers(plateau, o, h):
@@ -107,12 +105,10 @@ def first_wsp_witness(m: int, plateau: Interval, o: int, h: int) -> WeakOrder:
     lo, hi = plateau.left, plateau.right
     levels = [frozenset(plateau.alternatives())]
     while lo > 1 or hi < m:
-        a, b = next(
-            (a, b)
-            for b in range(m - hi + 1)
-            for a in range(lo)
-            if (a or b) and (lo <= o <= hi or not lo - a <= h <= hi + b)
-        )
-        levels.append(frozenset(range(lo - a, lo)).union(range(hi + 1, hi + b + 1)))
-        lo, hi = lo - a, hi + b
+        if lo > 1 and (lo - 1 != h or lo <= o <= hi):
+            lo -= 1
+            levels.append(frozenset((lo,)))
+        else:
+            hi += 1
+            levels.append(frozenset((hi,)))
     return WeakOrder(m, tuple(levels))

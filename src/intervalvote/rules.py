@@ -136,15 +136,11 @@ def _canonical_pairs(m: int) -> tuple[tuple[int, int], ...]:
     return tuple((iv.left, iv.right) for iv in canonical_intervals(m))
 
 
-def endpoint_histogram(p: ProfileLike, m: int) -> tuple[list[int], list[int]]:
+def endpoint_histogram(p: ProfileLike) -> tuple[list[int], list[int]]:
     """lefts[k] and rights[k]: the number of voters whose left (right)
-    endpoint is x_k, for k = 1..m (index 0 stays 0); one pass over the
-    voters, or over the nonzero counts of an anonymized profile.
-
-    Raises InvalidAlternative when an interval reaches beyond x_m.
-    """
-    size = (p.m if p.m > m else m) + 1
-    lefts, rights = [0] * size, [0] * size
+    endpoint is x_k, for k = 1..p.m (index 0 stays 0); one pass over the
+    voters, or over the nonzero counts of an anonymized profile."""
+    lefts, rights = [0] * (p.m + 1), [0] * (p.m + 1)
     if isinstance(p, AnonProfile):
         counts = p.counts
         nonzero = zip(compress(_canonical_pairs(p.m), counts), filter(None, counts))
@@ -155,14 +151,14 @@ def endpoint_histogram(p: ProfileLike, m: int) -> tuple[list[int], list[int]]:
         for iv in p.voters.values():
             lefts[iv.left] += 1
             rights[iv.right] += 1
-    if p.m > m and any(rights[m + 1 :]):
-        raise InvalidAlternative(f"profile has an interval beyond m={m}")
     return lefts, rights
 
 
 def collective_positions(alpha: WeightVector, p: ProfileLike) -> list[Fraction]:
     """Pi_alpha(p, x_k) for k = 1..m from one endpoint pass, exact."""
-    lefts, rights = endpoint_histogram(p, alpha.m)
+    if alpha.m != p.m:
+        raise VotingError(f"m mismatch: weights {alpha.m} vs profile {p.m}")
+    lefts, rights = endpoint_histogram(p)
     positions, L, R = [], 0, 0
     for a, l, r in zip(alpha.alpha, lefts[1:], rights[1:]):
         L += l
@@ -287,7 +283,7 @@ def ptr_winner(rule: PositionThresholdRule, p: ProfileLike) -> int:
     if m != p.m:
         raise VotingError(f"m mismatch: rule {m} vs profile {p.m}")
     if isinstance(p, AnonProfile):
-        lefts, rights = endpoint_histogram(p, m)
+        lefts, rights = endpoint_histogram(p)
     else:
         lefts, rights = [0] * (m + 1), [0] * (m + 1)
         for iv in p.voters.values():
@@ -311,6 +307,8 @@ def phantom_median_winner(theta: ThresholdVector, p: ProfileLike) -> int:
     Equals ptr_winner for any weight vector when every ballot is a
     singleton.
     """
+    if theta.m != p.m:
+        raise VotingError(f"m mismatch: thresholds {theta.m} vs profile {p.m}")
     if isinstance(p, AnonProfile):
         items = list(p.items())
     else:

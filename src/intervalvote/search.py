@@ -102,7 +102,10 @@ def enumeration_budget() -> int:
     if not raw:
         return DEFAULT_BUDGET
     with decoding(BUDGET_ENV):
-        return int(raw)
+        budget = int(raw)
+    if budget < 1:
+        raise VotingError(f"{BUDGET_ENV} must be at least 1, got {budget}")
+    return budget
 
 
 def profile_count(m: int, n: int) -> int:
@@ -253,7 +256,7 @@ def _profile_dependent_alpha_winner(p: Profile) -> int:
     """Endpoint-variant whose first weight shrinks with the number of
     voters excluding x_1; behaves like a different threshold rule per
     profile, which no fixed vector pair can reproduce."""
-    lefts, rights = endpoint_histogram(p, p.m)
+    lefts, rights = endpoint_histogram(p)
     # a_1 = 1/2 - excluded / (2n) = l_1 / (2n): only voters whose interval
     # starts at x_1 contain it.  Pi(x_1) = r_1 + a_1 (l_1 - r_1) >= n/2 is
     # 2n r_1 + l_1 (l_1 - r_1) >= n^2; every later a_k is 1, so past x_1
@@ -480,6 +483,17 @@ def falsify(f: RuleFn, axiom: str, bounds: SearchBounds) -> Campaign:
 # proof-derived witnesses
 
 
+def _blocs(m: int, *blocs: tuple[int, int, int]) -> Profile:
+    """The profile in which each (count, left, right) bloc of voters
+    reports [x_left, x_right], voters numbered 1, 2, ... in bloc order;
+    the caller guarantees 1 <= left <= right <= m and at least one voter."""
+    ballots = itertools.chain.from_iterable(
+        itertools.repeat(table_interval(m, left, right), count)
+        for count, left, right in blocs
+    )
+    return Profile._of(m, dict(enumerate(ballots, 1)))
+
+
 def incompatibility_witness(
     alpha: WeightVector, theta: ThresholdVector
 ) -> Optional[Violation]:
@@ -504,22 +518,19 @@ def incompatibility_witness(
         return None
     m, a, t = alpha.m, alpha.alpha[i - 1], theta.theta[i - 1]
     if a >= t:
-        share, anchor = t / a, table_interval(m, m, m)
+        share, anchor = t / a, (m, m)
     else:
-        share, anchor = (1 - t) / (1 - a), table_interval(m, i, i)
+        share, anchor = (1 - t) / (1 - a), (i, i)
     if share.denominator > WITNESS_MAX_DENOMINATOR:
         raise TooLarge(
             f"witness fraction denominator {share.denominator} exceeds "
             f"the {WITNESS_MAX_DENOMINATOR} guard"
         )
     w1, n = share.numerator, share.denominator
-    mover = table_interval(m, i, i + 2)
-    voters = dict.fromkeys(range(1, w1 + 1), mover)
-    voters.update(dict.fromkeys(range(w1 + 1, n + 1), anchor))
-    p = Profile._of(m, voters)
+    p = _blocs(m, (w1, i, i + 2), (n - w1, *anchor))
     f = RuleFn.from_ptr(PositionThresholdRule.make_unchecked(alpha, theta))
     before, after = f(p), f(delete_endpoint(p, 1, "left"))
-    if robust_step(mover, "left", before, after):
+    if robust_step(p.voters[1], "left", before, after):
         raise AssertionError(f"incompatible pair gave a robust step at index {i}")
     return robustness_violation(p.to_json(), 1, "left", before, after)
 
@@ -546,12 +557,13 @@ def theorem2_uniqueness_witness(rule: PositionThresholdRule) -> Optional[Violati
     the majority criterion or of strong unanimity; None for the all-1/2
     rule.
 
-    Threshold deviations yield majority-criterion violations via a
-    two-bloc singleton profile; weight deviations yield strong-unanimity
-    violations via a shared-alternative profile.  Every witness is
-    confirmed by the corresponding checker before being returned.  A
-    two-bloc total or a straddling bloc above WITNESS_MAX_DENOMINATOR
-    voters is refused with TooLarge before its profile is built.
+    The least threshold deviation yields a majority-criterion violation
+    via a two-bloc singleton profile; failing that, the least weight
+    deviation yields a strong-unanimity violation via a shared-alternative
+    profile.  The witness is confirmed by that checker before it is
+    returned.  A two-bloc total or a straddling bloc above
+    WITNESS_MAX_DENOMINATOR voters is refused with TooLarge before its
+    profile is built.
     """
     m = rule.m
     f = RuleFn.from_ptr(rule)
@@ -560,50 +572,37 @@ def theorem2_uniqueness_witness(rule: PositionThresholdRule) -> Optional[Violati
 
     for i in range(1, m):  # theta_m is inert
         t = theta[i - 1]
-        if t == ONE_HALF:
-            continue
-        if t < ONE_HALF:
-            frac = _fraction_strictly_between(t, ONE_HALF)
-        else:
-            frac = _fraction_strictly_between(ONE_HALF, t)
-        w1 = frac.numerator
-        w2 = frac.denominator - frac.numerator
-        voters = {k: Interval(i, i) for k in range(1, w1 + 1)}
-        voters.update(
-            {k: Interval(m, m) for k in range(w1 + 1, w1 + w2 + 1)}
-        )
-        p = Profile(m, voters)
-        result = check_majority_criterion(f, p)
-        if result.status == VIOLATION:
-            return result.violation
+        if t != ONE_HALF:
+            frac = _fraction_strictly_between(*sorted((t, ONE_HALF)))
+            w1 = frac.numerator
+            p = _blocs(m, (w1, i, i), (frac.denominator - w1, m, m))
+            return _confirmed(check_majority_criterion(f, p))
 
     for i in range(1, m):  # alpha_m is inert
         a = alpha[i - 1]
-        if a == ONE_HALF:
-            continue
-        if a < ONE_HALF:
-            # the lone {x_i} voter adds a full point to Pi(x_i), so the
-            # straddling bloc must lose more than one point against it
-            delta = ONE_HALF - a
-            t = int(Fraction(1) / delta) + 1  # smallest t with t*delta > 1
-            lone = Interval(i, i)
-        else:
-            delta = a - ONE_HALF
-            t = int(ONE_HALF / delta) + 1  # smallest t with t*delta > 1/2
-            lone = Interval(i + 1, i + 1)
-        if t > WITNESS_MAX_DENOMINATOR:
-            raise TooLarge(
-                f"strong-unanimity witness for alpha_{i} = {a} needs {t} "
-                f"straddling voters, above the {WITNESS_MAX_DENOMINATOR} guard"
-            )
-        voters = {k: Interval(i, i + 1) for k in range(1, t + 1)}
-        voters[t + 1] = lone
-        p = Profile(m, voters)
-        result = check_strong_unanimity(f, p)
-        if result.status == VIOLATION:
-            return result.violation
+        if a != ONE_HALF:
+            # with n = t + 1 voters, x_i must fail, t * a + 1 < n / 2, when the
+            # lone voter is on {x_i}, and win, t * a >= n / 2, on {x_{i+1}}
+            if a < ONE_HALF:
+                t, lone = int(ONE_HALF / (ONE_HALF - a)) + 1, i
+            else:
+                t, lone = math.ceil(ONE_HALF / (a - ONE_HALF)), i + 1
+            if t > WITNESS_MAX_DENOMINATOR:
+                raise TooLarge(
+                    f"strong-unanimity witness for alpha_{i} = {a} needs {t} "
+                    f"straddling voters, above the {WITNESS_MAX_DENOMINATOR} guard"
+                )
+            p = _blocs(m, (t, i, i + 1), (1, lone, lone))
+            return _confirmed(check_strong_unanimity(f, p))
 
     return None
+
+
+def _confirmed(result: CheckResult) -> Violation:
+    """The violation that a proof-derived profile must give its checker."""
+    if result.status != VIOLATION:
+        raise AssertionError(f"a proof-derived witness gave {result.status}")
+    return result.violation
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +613,11 @@ def remark_scaled_triple() -> tuple[Profile, Profile, Profile]:
     """Three four-voter profiles over {x_1, x_2} on which the
     profile-dependent-alpha fixture elects (x_1, x_1, x_2), which no fixed
     weight/threshold pair reproduces."""
-    single1, single2, both = Interval(1, 1), Interval(2, 2), Interval(1, 2)
-    pa = Profile(2, {1: single1, 2: single1, 3: single2, 4: single2})
-    pb = Profile(2, {1: both, 2: both, 3: both, 4: both})
-    pc = Profile(2, {1: both, 2: both, 3: single1, 4: single2})
-    return pa, pb, pc
+    return (
+        _blocs(2, (2, 1, 1), (2, 2, 2)),
+        _blocs(2, (4, 1, 2)),
+        _blocs(2, (2, 1, 2), (1, 1, 1), (1, 2, 2)),
+    )
 
 
 def inconsistent_alternative(
@@ -634,14 +633,17 @@ def inconsistent_alternative(
     per pair of a lower and an upper bound, intersected with [0, 1]
     exactly.  The alternatives decouple, so an answer k proves that no
     position-threshold rule, compatible or not, reproduces the
-    observations.  At m = 2 None is exact as well.
+    observations.  At m = 2 None is exact as well.  A profile over
+    another m is refused with VotingError.
     """
     # per k, the lines (c0, c1) bounding theta_k from below (from
     # theta_k > 0 on) and from above (from theta_k < 1 on)
     lower = [{(0, 0)} for _ in range(m)]
     upper = [{(1, 0)} for _ in range(m)]
     for p, w in observations:
-        lefts, rights = endpoint_histogram(p, m)
+        if p.m != m:
+            raise VotingError(f"m mismatch: {m} vs profile {p.m}")
+        lefts, rights = endpoint_histogram(p)
         left = right = 0
         for k in range(1, min(w, m - 1) + 1):
             left += lefts[k]

@@ -488,7 +488,7 @@ def enumerating_strategyproofness(f, p, voter):
                 )
     if not violations:
         return CheckResult(PASS)
-    return CheckResult(VIOLATION, violations[0], violations=tuple(violations))
+    return CheckResult(VIOLATION, tuple(violations))
 
 
 class TestStrategyproofnessAgainstEnumeration:
@@ -561,6 +561,12 @@ class TestReplay:
     def test_unknown_axiom(self):
         with pytest.raises(VotingError):
             replay_violation(em(2), {"axiom": "mystery", "witness": {}})
+
+    def test_unknown_axiom_with_a_profile(self):
+        profile = {"m": 2, "voters": [{"id": 1, "interval": [1, 2]}]}
+        violation = {"axiom": "mystery", "witness": {"profile": profile}}
+        with pytest.raises(VotingError, match="cannot replay unknown axiom 'mystery'"):
+            replay_violation(em(2), violation)
 
     def test_robustness_replay_makes_the_checker_calls(self):
         # decoding the witness's voter and side evaluates the rule no more

@@ -131,10 +131,31 @@ class TestWinner:
         _, b = run(capsys, "winner", "--rule", em_rule, "--profile", figure_profile)
         assert a == b
 
+    def test_pretty_is_the_same_json(self, capsys, em_rule, figure_profile):
+        argv = ("winner", "--rule", em_rule, "--profile", figure_profile)
+        _, compact = run(capsys, *argv)
+        code, pretty = run(capsys, "--pretty", *argv)
+        assert code == EXIT_OK
+        assert pretty != compact and pretty.count("\n") > 1
+        assert json.loads(pretty) == json.loads(compact)
+
 
 class TestMalformedInput:
     """A file of the wrong shape is a parse failure (exit 2), never a
     traceback or the "violation found" exit 1."""
+
+    def test_missing_file(self, capsys, tmp_path, em_rule):
+        missing = str(tmp_path / "absent.json")
+        code = main(["winner", "--rule", em_rule, "--profile", missing])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: cannot read {missing}")
+
+    def test_invalid_json_file(self, capsys, tmp_path, em_rule):
+        path = tmp_path / "broken.json"
+        path.write_text('{"m": 4, "voters": [')
+        code = main(["winner", "--rule", em_rule, "--profile", str(path)])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
 
     def test_profile_without_voters(self, capsys, files, em_rule):
         profile = files("p.json", {"m": 4})
@@ -259,6 +280,17 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: malformed INTERVAL_VOTE_BUDGET: invalid literal")
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one(self, capsys, em_rule, monkeypatch, budget):
+        monkeypatch.setenv("INTERVAL_VOTE_BUDGET", budget)
+        code = main(["audit", "--rule", em_rule, "--axiom", "robustness"])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: INTERVAL_VOTE_BUDGET must be at least 1, got {budget}\n"
+        )
 
     def test_unknown_fixture(self, capsys):
         code = main(["audit", "--fixture", "coin-flip", "--m", "3", "--axiom", "unanimity"])

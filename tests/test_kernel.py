@@ -33,6 +33,7 @@ from intervalvote.rules import (
     ThresholdVector,
     WeightVector,
     collective_position,
+    collective_positions,
     collective_position_decomposed,
     endpoint_median_oracle,
     endpoint_median_rule,
@@ -217,10 +218,22 @@ class TestKernelErrors:
     def test_interval_beyond_m(self):
         p = Profile(4, {1: Interval(1, 4)})
         alpha = WeightVector.constant(3, ONE_HALF)
-        with pytest.raises(InvalidAlternative):
+        with pytest.raises(VotingError, match="m mismatch"):
             collective_position(alpha, p, 1)
-        with pytest.raises(InvalidAlternative):
+        with pytest.raises(VotingError, match="m mismatch"):
             collective_position(alpha, anonymize(p), 1)
+
+    def test_every_evaluation_refuses_another_m(self):
+        p = Profile(2, {1: Interval(1, 1), 2: Interval(2, 2)})
+        singles = Profile(3, {1: Interval(3, 3)})
+        for q in (p, anonymize(p)):
+            with pytest.raises(VotingError, match="m mismatch"):
+                collective_positions(WeightVector.constant(4, ONE_HALF), q)
+        for q in (singles, anonymize(singles)):
+            with pytest.raises(VotingError, match="m mismatch"):
+                phantom_median_winner(ThresholdVector.constant(2, ONE_HALF), q)
+        with pytest.raises(VotingError, match="m mismatch"):
+            search.inconsistent_alternative(3, [(p, 1)])
 
     def test_alternative_out_of_range(self):
         p = Profile(3, {1: Interval(1, 2)})

@@ -616,6 +616,9 @@ def _no_profile(*args, **kwargs):
     raise AssertionError("a witness profile was built")
 
 
+_no_profile._of = _no_profile  # witness profiles are built with Profile._of
+
+
 class TestTheorem2Witness:
     @given(st.integers(2, 40).flatmap(
         lambda d: st.tuples(st.integers(1, d - 1), st.just(d))
@@ -644,11 +647,12 @@ class TestTheorem2Witness:
             theorem2_uniqueness_witness(rule)
 
     def test_weight_bloc_refused_before_any_profile(self, monkeypatch):
-        # alpha_1 = 1/2 - 10**-6: the smallest t with t * 10**-6 > 1 is
-        # 10**6 + 1, one straddling voter above the guard
+        # alpha_1 = 1/2 - 1/(2 * 10**6): the smallest t with
+        # t / (2 * 10**6) > 1/2 is 10**6 + 1, one straddling voter above
+        # the guard
         monkeypatch.setattr(search, "Profile", _no_profile)
         rule = PositionThresholdRule.make_unchecked(
-            WeightVector(2, (HALF - Fraction(1, 10**6), HALF)),
+            WeightVector(2, (HALF - Fraction(1, 2 * 10**6), HALF)),
             ThresholdVector.constant(2, HALF),
         )
         with pytest.raises(TooLarge, match=f"needs {WITNESS_MAX_DENOMINATOR + 1} straddling"):
@@ -683,8 +687,8 @@ class TestTheorem2Witness:
         assert ballots == [(1, 1), (1, 1), (3, 3), (3, 3), (3, 3)]
 
     def test_strong_unanimity_witness_bloc_size(self):
-        # alpha_1 = 1/4: smallest t with t/4 > 1 is 5, so 5 straddling
-        # voters plus the lone {x_1} voter
+        # alpha_1 = 1/4: the smallest t with t/4 > 1/2 is 3, so 3
+        # straddling voters plus the lone {x_1} voter: Pi(x_1) = 7/4 < 2
         rule = PositionThresholdRule.make_unchecked(
             WeightVector(3, (Fraction(1, 4), HALF, HALF)),
             ThresholdVector.constant(3, HALF),
@@ -694,7 +698,23 @@ class TestTheorem2Witness:
         ballots = sorted(
             tuple(v["interval"]) for v in violation.witness["profile"]["voters"]
         )
-        assert ballots == [(1, 1)] + [(1, 2)] * 5
+        assert ballots == [(1, 1)] + [(1, 2)] * 3
+
+    def test_strong_unanimity_witness_bloc_size_above_one_half(self):
+        # alpha_1 = 3/4: the smallest t with t/4 >= 1/2 is 2, so 2
+        # straddling voters plus the lone {x_2} voter: Pi(x_1) = 3/2 meets
+        # n/2 = 3/2 and x_1 wins
+        rule = PositionThresholdRule.make_unchecked(
+            WeightVector(3, (Fraction(3, 4), HALF, HALF)),
+            ThresholdVector.constant(3, HALF),
+        )
+        violation = theorem2_uniqueness_witness(rule)
+        assert violation.axiom == "strong-unanimity"
+        assert violation.witness["profile"]["voters"] == [
+            {"id": 1, "interval": [1, 2]},
+            {"id": 2, "interval": [1, 2]},
+            {"id": 3, "interval": [2, 2]},
+        ]
 
     def test_alpha_deviation_yields_strong_unanimity_witness(self):
         rule = PositionThresholdRule.make_unchecked(
