@@ -168,8 +168,12 @@ def check_unanimity(f: RuleFn, j: int, n_max: int) -> CheckResult:
 
 
 def check_strong_unanimity(f: RuleFn, p: Profile) -> CheckResult:
-    lo = max(iv.left for iv in p.voters.values())
-    hi = min(iv.right for iv in p.voters.values())
+    lo, hi = 1, p.m
+    for iv in p.voters.values():
+        if iv.left > lo:
+            lo = iv.left
+        if iv.right < hi:
+            hi = iv.right
     if lo > hi:
         return VACUOUS_PASS
     w = f(p)
@@ -181,11 +185,12 @@ def check_strong_unanimity(f: RuleFn, p: Profile) -> CheckResult:
 
 
 def check_majority_criterion(f: RuleFn, p: Profile) -> CheckResult:
-    for j in range(1, p.m + 1):
-        supporters = sum(
-            1 for iv in p.voters.values() if iv.left == iv.right == j
-        )
-        if 2 * supporters > p.n:
+    supporters = [0] * (p.m + 1)
+    for iv in p.voters.values():
+        if iv.left == iv.right:
+            supporters[iv.left] += 1
+    for j, count in enumerate(supporters):
+        if 2 * count > p.n:
             w = f(p)
             if w == j:
                 return PASSED
@@ -195,8 +200,9 @@ def check_majority_criterion(f: RuleFn, p: Profile) -> CheckResult:
 
 def check_weak_efficiency(f: RuleFn, p: Profile) -> CheckResult:
     w = f(p)
-    if w in p.support():
-        return PASSED
+    for iv in p.voters.values():
+        if iv.left <= w <= iv.right:
+            return PASSED
     return _violated(
         "weak-efficiency",
         w,
@@ -248,8 +254,7 @@ def check_right_biased_continuity(
     case = "i" if w <= w1 else "ii"
     # the combined winner must land in [w1, hi]
     hi = w1 if case == "i" else max(iv.right for iv in p1.voters.values())
-    grown = replications(p1, p2)
-    lam = 0
+    lam, grown = 0, None
     while not w1 <= w <= hi:
         lam += 1
         if lam > lambda_max:
@@ -262,6 +267,7 @@ def check_right_biased_continuity(
                     "profile2": p2.to_json(),
                 },
             )
+        grown = grown or replications(p1, p2)
         w = f(next(grown))
     detail = {"case": case, "lambda": lam}
     if case == "ii":
@@ -281,7 +287,7 @@ def check_strategyproofness(f: RuleFn, p: Profile, voter: VoterId) -> CheckResul
     for report in interval_table(p.m):
         if report == truth:
             continue
-        outcome = f(p.with_interval(voter, report))
+        outcome = f(p._with_interval(voter, report))
         if not some_wsp_prefers(truth, outcome, honest):
             continue
         pref = first_wsp_witness(p.m, truth, outcome, honest).to_json()
@@ -331,11 +337,12 @@ def check_strong_uncompromisingness(
     f: RuleFn, p: Profile, voter: VoterId, new_interval: Interval
 ) -> CheckResult:
     old = p.interval(voter)
+    new_interval.validate(p.m)
     winner = f(p)
     condition = _uncompromising_condition(winner, old, new_interval)
     if condition is None:
         return VACUOUS_PASS
-    after = f(p.with_interval(voter, new_interval))
+    after = f(p._with_interval(voter, new_interval))
     if after == winner:
         return PASSED
     return _violated(
@@ -351,16 +358,12 @@ def check_strong_uncompromisingness(
 
 def check_shift_symmetry(f: RuleFn, p: Profile) -> CheckResult:
     """Shifting every interval one step right must shift the winner."""
-    if any(iv.right >= p.m for iv in p.voters.values()):
-        return VACUOUS_PASS
-    shifted = Profile._of(
-        p.m,
-        {
-            v: table_interval(p.m, iv.left + 1, iv.right + 1)
-            for v, iv in p.voters.items()
-        },
-    )
-    w, ws = f(p), f(shifted)
+    shifted = {}
+    for v, iv in p.voters.items():
+        if iv.right >= p.m:
+            return VACUOUS_PASS
+        shifted[v] = table_interval(p.m, iv.left + 1, iv.right + 1)
+    w, ws = f(p), f(Profile._of(p.m, shifted))
     if ws == w + 1:
         return PASSED
     return _violated("shift-symmetry", ws, w + 1, profile=p.to_json())
@@ -434,12 +437,13 @@ def _decode_replay(f: RuleFn, violation: dict) -> Callable[[], bool]:
         check = lambda: check_weak_efficiency(f, p)
     elif axiom == "anonymity":
         perm = {old: new for old, new in witness["permutation"]}
-        set(perm.values())  # an unhashable new id fails while decoding
+        for old, new in perm.items():  # each entry renames a voter to a valid id
+            Profile(p.m, {new: p.interval(old)})
         check = lambda: check_anonymity(f, p, perm)
     elif axiom == "strong-uncompromisingness":
         voter = witness["voter"]
-        p.interval(voter)  # an unknown or unhashable id fails while decoding
         new_iv = Interval(*map(json_int, witness["new_interval"]))
+        p.with_interval(voter, new_iv)  # a bad voter or interval fails while decoding
         check = lambda: check_strong_uncompromisingness(f, p, voter, new_iv)
     elif axiom == "shift-symmetry":
         check = lambda: check_shift_symmetry(f, p)

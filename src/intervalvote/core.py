@@ -211,19 +211,15 @@ class Profile:
             raise NoSuchVoter(f"no voter {voter!r}") from None
 
     def with_interval(self, voter: VoterId, iv: Interval) -> "Profile":
-        if voter not in self.voters:
-            raise NoSuchVoter(f"no voter {voter!r}")
+        self.interval(voter)  # an unknown voter raises NoSuchVoter
         iv.validate(self.m)
+        return self._with_interval(voter, iv)
+
+    def _with_interval(self, voter: VoterId, iv: Interval) -> "Profile":
+        """`with_interval` without its checks on `voter` and `iv`."""
         new = self.voters.copy()
         new[voter] = iv
         return Profile._of(self.m, new)
-
-    def support(self) -> set[int]:
-        """Union of all reported intervals."""
-        out: set[int] = set()
-        for iv in self.voters.values():
-            out.update(iv.alternatives())
-        return out
 
     def to_json(self) -> dict:
         return {
@@ -301,9 +297,9 @@ def delete_endpoint(p: Profile, voter: VoterId, side: str) -> Profile:
     if iv.is_singleton():
         raise CannotShrink(f"voter {voter!r} reports a singleton interval")
     if side == "left":
-        return p.with_interval(voter, table_interval(p.m, iv.left + 1, iv.right))
+        return p._with_interval(voter, table_interval(p.m, iv.left + 1, iv.right))
     if side == "right":
-        return p.with_interval(voter, table_interval(p.m, iv.left, iv.right - 1))
+        return p._with_interval(voter, table_interval(p.m, iv.left, iv.right - 1))
     raise VotingError(f"side must be 'left' or 'right', got {side!r}")
 
 

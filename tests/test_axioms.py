@@ -1,12 +1,16 @@
 """Axiom checkers on hand-built instances and known counterexample rules."""
 
+import collections
 import itertools
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from intervalvote.core import (
     Interval,
+    InvalidAlternative,
+    NoSuchVoter,
     Profile,
     VotingError,
     canonical_intervals,
@@ -43,7 +47,7 @@ from intervalvote.axioms import (
     check_weak_efficiency,
     replay_violation,
 )
-from intervalvote.search import _disjoint_pairs, fixture
+from intervalvote.search import FIXTURE_TAGS, _disjoint_pairs, fixture
 from wsp_oracle import enumerate_wsp_with_plateau
 
 HALF = Fraction(1, 2)
@@ -578,3 +582,269 @@ class TestReplay:
         replayer, replayed = recorded(f)
         assert replay_violation(replayer, witness)
         assert replayed == checked
+
+
+# ---------------------------------------------------------------------------
+# the checkers that scan their premise in one pass and derive profiles
+# without re-validating them, against their definitions
+
+
+def support(p):
+    return {a for iv in p.voters.values() for a in iv.alternatives()}
+
+
+def outcome(status, *violations, **detail):
+    return status, list(violations), detail
+
+
+def found(result):
+    return (
+        result.status,
+        [v.to_json() for v in result.violations],
+        dict(result.detail),
+    )
+
+
+def violation_json(axiom, observed, required, **witness):
+    return {
+        "axiom": axiom, "witness": witness, "observed": observed, "required": required
+    }
+
+
+def robustness_by_definition(f, p):
+    before = f(p)
+    out = []
+    for voter in sorted(p.voters, key=str):
+        iv = p.interval(voter)
+        if iv.is_singleton():
+            continue
+        for side in ("left", "right"):
+            after = f(delete_endpoint(p, voter, side))
+            deleted = iv.left if side == "left" else iv.right
+            inward = iv.left + 1 if side == "left" else iv.right - 1
+            if after != before and not (before == deleted and after == inward):
+                out.append(violation_json(
+                    "robustness",
+                    {"before": before, "after": after},
+                    "winner unchanged, or moved one step off the deleted endpoint",
+                    profile=p.to_json(), voter=voter, side=side,
+                ))
+    return outcome(VIOLATION if out else PASS, *out)
+
+
+def strong_unanimity_by_definition(f, p):
+    shared = set.intersection(*(set(iv.alternatives()) for iv in p.voters.values()))
+    if not shared:
+        return outcome(VACUOUS)
+    w = f(p)
+    if w in shared:
+        return outcome(PASS)
+    required = f"winner in [{min(shared)}, {max(shared)}]"
+    return outcome(
+        VIOLATION, violation_json("strong-unanimity", w, required, profile=p.to_json())
+    )
+
+
+def majority_criterion_by_definition(f, p):
+    for j in range(1, p.m + 1):
+        backers = [v for v, iv in p.voters.items() if iv == Interval(j, j)]
+        if 2 * len(backers) > len(p.voters):
+            w = f(p)
+            if w == j:
+                return outcome(PASS)
+            return outcome(
+                VIOLATION, violation_json("majority-criterion", w, j, profile=p.to_json())
+            )
+    return outcome(VACUOUS)
+
+
+def weak_efficiency_by_definition(f, p):
+    w = f(p)
+    if w in support(p):
+        return outcome(PASS)
+    return outcome(VIOLATION, violation_json(
+        "weak-efficiency", w, "winner reported by at least one voter", profile=p.to_json()
+    ))
+
+
+def shift_symmetry_by_definition(f, p):
+    if p.m in support(p):
+        return outcome(VACUOUS)
+    shifted = Profile(
+        p.m, {v: Interval(iv.left + 1, iv.right + 1) for v, iv in p.voters.items()}
+    )
+    w, ws = f(p), f(shifted)
+    if ws == w + 1:
+        return outcome(PASS)
+    return outcome(
+        VIOLATION, violation_json("shift-symmetry", ws, w + 1, profile=p.to_json())
+    )
+
+
+def continuity_by_definition(f, p1, p2, lambda_max):
+    w1, w2 = f(p1), f(p2)
+    case = "i" if w2 <= w1 else "ii"
+    hi = w1 if case == "i" else max(support(p1))
+    for lam in range(lambda_max + 1):
+        if lam == 0:
+            w = w2
+        else:
+            w = f(combine(replicate(p1, lam, avoid_ids=p2.voters), p2))
+        if w1 <= w <= hi:
+            if case == "i":
+                return outcome(SATISFIED, case=case, **{"lambda": lam})
+            return outcome(SATISFIED, case=case, bound=w, **{"lambda": lam})
+    return outcome(
+        UNDETERMINED,
+        case=case,
+        lambda_max=lambda_max,
+        profile1=p1.to_json(),
+        profile2=p2.to_json(),
+    )
+
+
+def strategyproofness_by_definition(f, p, voter):
+    """One witness per manipulating report: the first the enumeration
+    lists for it."""
+    first = {}
+    for v in enumerating_strategyproofness(f, p, voter).violations:
+        first.setdefault(tuple(v.witness["report"]), v.to_json())
+    return outcome(VIOLATION if first else PASS, *first.values())
+
+
+# (clause, where the old interval lies relative to the winner w, where
+# the new one must lie for the winner to be pinned)
+UNCOMPROMISING_CLAUSES = (
+    ("interval-left-of-winner", lambda l, r, w: r < w, lambda l, r, w: r <= w),
+    ("interval-right-of-winner", lambda l, r, w: w < l, lambda l, r, w: w <= l),
+    ("winner-strictly-inside", lambda l, r, w: l < w < r, lambda l, r, w: l <= w <= r),
+    ("winner-at-left-endpoint", lambda l, r, w: l == w < r, lambda l, r, w: l == w <= r),
+    ("winner-at-right-endpoint", lambda l, r, w: l < w == r, lambda l, r, w: l <= w == r),
+)
+
+
+def strong_uncompromisingness_by_definition(f, p, voter, new):
+    old = p.interval(voter)
+    w = f(p)
+    for clause, before, after in UNCOMPROMISING_CLAUSES:
+        if before(old.left, old.right, w) and after(new.left, new.right, w):
+            break
+    else:
+        return outcome(VACUOUS)
+    moved = f(p.with_interval(voter, new))
+    if moved == w:
+        return outcome(PASS)
+    return outcome(VIOLATION, violation_json(
+        "strong-uncompromisingness", moved, w,
+        profile=p.to_json(), voter=voter, new_interval=[new.left, new.right],
+        condition=clause,
+    ))
+
+
+def skewed(m):
+    """Compatible: non-decreasing weights from 1/4, thresholds 1/2."""
+    steps = [Fraction(1, 4) + Fraction(3, 4) * k / (m - 1) for k in range(m)]
+    alpha, theta = WeightVector(m, tuple(steps)), ThresholdVector.constant(m, HALF)
+    return RuleFn.from_ptr(PositionThresholdRule.make(alpha, theta))
+
+
+REFERENCE_RULES = {
+    "em": em,
+    "skewed": skewed,
+    "early-descent": early_descent,
+    **{tag: partial(fixture, tag) for tag in FIXTURE_TAGS},
+}
+
+
+def small_profiles(m, n_max):
+    for n in range(1, n_max + 1):
+        for ballots in itertools.combinations_with_replacement(canonical_intervals(m), n):
+            yield Profile(m, dict(enumerate(ballots, 1)))
+
+
+def checks_and_references(f, m, n_max):
+    """(inputs, checker call, reference call) over every instance of
+    every rewritten checker on the profiles with at most n_max voters."""
+    one = {
+        check_robustness: robustness_by_definition,
+        check_strong_unanimity: strong_unanimity_by_definition,
+        check_majority_criterion: majority_criterion_by_definition,
+        check_weak_efficiency: weak_efficiency_by_definition,
+        check_shift_symmetry: shift_symmetry_by_definition,
+    }
+    for p in small_profiles(m, n_max):
+        for check, reference in one.items():
+            yield (p,), partial(check, f, p), partial(reference, f, p)
+        for voter in p.voters:
+            yield (
+                (p,),
+                partial(check_strategyproofness, f, p, voter),
+                partial(strategyproofness_by_definition, f, p, voter),
+            )
+            for new in canonical_intervals(m):
+                yield (
+                    (p,),
+                    partial(check_strong_uncompromisingness, f, p, voter, new),
+                    partial(strong_uncompromisingness_by_definition, f, p, voter, new),
+                )
+    for p1, p2 in _disjoint_pairs(m, n_max):
+        yield (
+            (p1, p2),
+            partial(check_right_biased_continuity, f, p1, p2, lambda_max=4),
+            partial(continuity_by_definition, f, p1, p2, lambda_max=4),
+        )
+
+
+class TestRewrittenCheckersAgainstDefinition:
+    @pytest.mark.parametrize("m, n_max", [(3, 3), (4, 2)])
+    def test_same_status_witnesses_and_detail(self, m, n_max):
+        statuses = collections.defaultdict(set)
+        for make in REFERENCE_RULES.values():
+            f = make(m)
+            for inputs, check, reference in checks_and_references(f, m, n_max):
+                got = found(check())
+                assert got == reference(), (f.name, inputs)
+                statuses[check.func.__name__].add(got[0])
+        # every checker meets a failing instance as well as a clean one;
+        # at m = 4 two voters are too few to manipulate any of the rules
+        assert all(len(seen) > 1 for seen in statuses.values()) or m == 4, statuses
+
+    @pytest.mark.parametrize("m, n_max", [(3, 3), (4, 2)])
+    def test_inputs_untouched_and_every_derived_profile_owns_its_dict(self, m, n_max):
+        """A rule that keeps every profile it is given: no check changes
+        its input profiles, and each profile it derives has a dict of its
+        own that later derivations leave as it was."""
+        kept = []
+        rule = em(m)
+
+        def keeping(p):
+            kept.append((p, dict(p.voters)))
+            return rule.fn(p)
+
+        f = RuleFn(m, keeping)
+        for inputs, check, _ in checks_and_references(f, m, n_max):
+            before = [dict(p.voters) for p in inputs]
+            kept.clear()
+            check()
+            assert [dict(p.voters) for p in inputs] == before, inputs
+            derived = [q for q, _ in kept if not any(q is p for p in inputs)]
+            dicts = {id(q.voters) for q in derived}
+            assert len(dicts) == len(derived), inputs
+            assert not dicts & {id(p.voters) for p in inputs}, inputs
+            assert all(q.voters == voters for q, voters in kept), inputs
+
+
+class TestPublicCheckersValidateTheirArguments:
+    p = Profile(3, {1: Interval(1, 1), 2: Interval(3, 3)})
+
+    def test_unknown_voter(self):
+        with pytest.raises(NoSuchVoter):
+            check_strategyproofness(em(3), self.p, 7)
+        with pytest.raises(NoSuchVoter):
+            check_strong_uncompromisingness(em(3), self.p, 7, Interval(1, 2))
+
+    def test_new_interval_beyond_m_even_where_no_clause_applies(self):
+        # winner x_2 lies right of voter 1's {x_1}; [1, 9] would keep its
+        # right end right of the winner, so no clause applies
+        with pytest.raises(InvalidAlternative, match="exceeds m=3"):
+            check_strong_uncompromisingness(em(3), self.p, 1, Interval(1, 9))

@@ -12,7 +12,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["audit_scorecard", "independence_scorecard"])
+@pytest.mark.parametrize(
+    "workload", ["winner_grid", "audit_scorecard", "independence_scorecard"]
+)
 def test_short_traced_run_is_correct(workload):
     argv = [
         sys.executable, "perfbench/run.py", "--workload", workload,

@@ -273,6 +273,57 @@ class TestMalformedInput:
         assert captured.out == ""
         assert captured.err.startswith(message)
 
+    @pytest.mark.parametrize("axiom, field", [
+        ("strong-uncompromisingness", "new_interval"),
+        ("strategyproofness", "report"),
+    ])
+    def test_replay_interval_beyond_m(self, capsys, files, axiom, field):
+        # em at m = 3 elects x_2 here; voter 1's {x_1} moved to [1, 9]
+        # would fit no invariance clause, so only the bound refuses it
+        rule = files("em3.json", {"m": 3, "theta": ["1/2"] * 3, "alpha": ["1/2"] * 3})
+        witness = files("w.json", {
+            "axiom": axiom,
+            "witness": {
+                "profile": {
+                    "m": 3,
+                    "voters": [{"id": 1, "interval": [1, 1]}, {"id": 2, "interval": [3, 3]}],
+                },
+                "voter": 1,
+                field: [1, 9],
+                "preference": [[1], [2], [3]],
+                "condition": "interval-left-of-winner",
+            },
+        })
+        code = main(["audit", "--rule", rule, "--replay", witness])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: interval (1, 9) exceeds m=3\n"
+
+    @pytest.mark.parametrize("permutation, message", [
+        ([[1, 2.5], [2, True]], "voter id must be an int or a string: 2.5"),
+        ([[1, 2], [2, True]], "voter id must be an int or a string: True"),
+        ([[1, 2], [2, 1], [7, 3]], "no voter 7"),
+    ])
+    def test_replay_permutation_outside_the_profile_ids(
+        self, capsys, files, em_rule, permutation, message
+    ):
+        witness = files("w.json", {
+            "axiom": "anonymity",
+            "witness": {
+                "profile": {
+                    "m": 4,
+                    "voters": [{"id": 1, "interval": [1, 2]}, {"id": 2, "interval": [3, 4]}],
+                },
+                "permutation": permutation,
+            },
+        })
+        code = main(["audit", "--rule", em_rule, "--replay", witness])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_non_numeric_budget(self, capsys, em_rule, monkeypatch):
         monkeypatch.setenv("INTERVAL_VOTE_BUDGET", "abc")
         code = main(["audit", "--rule", em_rule, "--axiom", "robustness"])

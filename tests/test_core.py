@@ -155,10 +155,6 @@ class TestProfile:
         with pytest.raises(InvalidAlternative):
             p.with_interval(1, Interval(2, 3))
 
-    def test_support_and_singleton_domain(self):
-        p = Profile(4, {1: Interval(1, 2), 2: Interval(4, 4)})
-        assert p.support() == {1, 2, 4}
-
     def test_empty_rejected(self):
         with pytest.raises(VotingError):
             Profile(3, {})
