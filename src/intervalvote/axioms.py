@@ -107,6 +107,14 @@ PASSED = CheckResult(PASS, detail=_NO_DETAIL)
 VACUOUS_PASS = CheckResult(VACUOUS, detail=_NO_DETAIL)
 
 
+def require_at_least(name: str, value: int, least: int) -> None:
+    """Refuse a search bound below `least`: a smaller one would check no
+    instance, or give up on every instance that needs replication, and
+    still read as a clean result."""
+    if value < least:
+        raise VotingError(f"{name} must be at least {least}, got {value}")
+
+
 def _violated(axiom: str, observed, required, **witness) -> CheckResult:
     """The result of one violation of `axiom`; the keyword arguments are
     the witness's fields, in the order they are serialized."""
@@ -159,6 +167,7 @@ def check_reinforcement(f: RuleFn, p1: Profile, p2: Profile) -> CheckResult:
 
 def check_unanimity(f: RuleFn, j: int, n_max: int) -> CheckResult:
     """All-singleton {x_j} electorates of size 1..n_max must elect x_j."""
+    require_at_least("n_max", n_max, 1)
     for n in range(1, n_max + 1):
         p = Profile(f.m, {v: Interval(j, j) for v in range(1, n + 1)})
         w = f(p)
@@ -219,8 +228,9 @@ def check_anonymity(
         renamed[permutation.get(voter, voter)] = iv
     if len(renamed) != p.n:
         raise VotingError("permutation must be a bijection on voter ids")
-    q = Profile._of(p.m, renamed)
-    w1, w2 = f(p), f(q)
+    # p first, so that the renamed profile shares what evaluating p kept
+    w1 = f(p)
+    w2 = f(p._renamed(renamed))
     if w1 == w2:
         return PASSED
     return _violated(
@@ -249,6 +259,7 @@ def check_right_biased_continuity(
     to the previous one, with the voter ids of
     `combine(replicate(p1, lambda, avoid_ids=p2.voters), p2)`.
     """
+    require_at_least("lambda_max", lambda_max, 0)
     require_disjoint(p1, p2)
     w1, w = f(p1), f(p2)
     case = "i" if w <= w1 else "ii"

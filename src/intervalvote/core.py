@@ -172,12 +172,19 @@ class Profile:
     derived from a valid one (an endpoint deletion, a combination, a
     replication, a campaign's enumeration) are built with
     `Profile._of`, which trusts its input.  Every profile stores its
-    voter count `n` when it is built.
+    voter count `n` when it is built.  A profile's `voters` is never
+    mutated, because `rules.ptr_winner` keeps the profile's endpoint
+    counts after its first evaluation.
     """
 
     m: int
     voters: Mapping[VoterId, Interval]
     n: int = field(init=False, repr=False, compare=False)
+    # (lefts, rights) as `rules.endpoint_histogram` gives them, stored
+    # on the instance by `rules.ptr_winner` at a first evaluation and
+    # never mutated; a class default rather than a field, so building a
+    # profile costs nothing and == and repr ignore it
+    _histogram = None
 
     def __post_init__(self):
         if self.m < 2:
@@ -216,10 +223,29 @@ class Profile:
         return self._with_interval(voter, iv)
 
     def _with_interval(self, voter: VoterId, iv: Interval) -> "Profile":
-        """`with_interval` without its checks on `voter` and `iv`."""
+        """`with_interval` without its checks on `voter` and `iv`.  The
+        profile gets this one's endpoint counts, moved by four updates,
+        when this one has them."""
         new = self.voters.copy()
         new[voter] = iv
-        return Profile._of(self.m, new)
+        p = Profile._of(self.m, new)
+        counts = self._histogram
+        if counts is not None:
+            old = self.voters[voter]
+            lefts, rights = counts[0].copy(), counts[1].copy()
+            lefts[old.left] -= 1
+            rights[old.right] -= 1
+            lefts[iv.left] += 1
+            rights[iv.right] += 1
+            p.__dict__["_histogram"] = lefts, rights
+        return p
+
+    def _renamed(self, voters: dict) -> "Profile":
+        """A profile that takes ownership of `voters`, this profile's
+        intervals under other voter ids, and shares its endpoint counts."""
+        p = Profile._of(self.m, voters)
+        p.__dict__["_histogram"] = self._histogram
+        return p
 
     def to_json(self) -> dict:
         return {
@@ -250,6 +276,8 @@ class AnonProfile:
     m: int
     counts: tuple[int, ...]
     n: int = field(init=False, repr=False, compare=False)
+    # the endpoint counts, as for `Profile`
+    _histogram = None
 
     def __post_init__(self):
         if self.m < 2:
@@ -259,6 +287,9 @@ class AnonProfile:
             raise VotingError(
                 f"count vector has length {len(self.counts)}, expected q={q}"
             )
+        # one C-level pass: a float or a bool would reach exact winner tests
+        if not {int}.issuperset(map(type, self.counts)):
+            raise VotingError(f"counts must be integers: {tuple(self.counts)!r}")
         if any(c < 0 for c in self.counts):
             raise VotingError("counts must be non-negative")
         n = sum(self.counts)

@@ -8,9 +8,11 @@ Pi_alpha(profile, x_i) >= theta_i * n, compared exactly (ties count as
 satisfied).  theta_m and alpha_m are stored but never influence the
 winner since Pi_alpha(., x_m) = n and theta_m < 1.
 
-Evaluation kernel: `ptr_winner` makes one pass over a profile (through
-`endpoint_histogram` for an anonymized one) and counts, per alternative,
-the voters whose left and whose right endpoint it is.  With the running
+Evaluation kernel: on a profile's first evaluation `ptr_winner` makes one
+pass over it (through `endpoint_histogram` for an anonymized one) and
+counts, per alternative, the voters whose left and whose right endpoint
+it is; the profile keeps these counts, and a one-voter derivation or a
+renaming of it starts from them (see `core.Profile`).  With the running
 sums L_k (left endpoint at or before x_k) and R_k (right endpoint at or
 before x_k) of these histograms,
 Pi_alpha(x_k) = R_k + alpha_k * (L_k - R_k).  Writing alpha_k = a/b and
@@ -18,9 +20,9 @@ theta_k = c/d with b, d > 0, the winner test Pi_alpha(x_k) >= theta_k * n
 holds exactly when the integer comparison A_k * L_k + B_k * R_k >= C_k * n
 does, with A = a*d, B = (b - a)*d and C = c*b fixed per rule.
 `ptr_winner` keeps L and R as it goes and stops at the first test that
-holds.  A winner costs one pass over the voters (over the nonzero counts
-of an anonymized profile) and at most m - 1 integer comparisons, with no
-floats.
+holds.  A winner costs at most one pass over the voters (over the
+nonzero counts of an anonymized profile) and at most m - 1 integer
+comparisons, with no floats.
 `individual_position`, the endpoint-median oracle, the singleton
 decomposition and the phantom-median rule compute the same quantities
 independently of the kernel and serve as its cross-checks.
@@ -278,17 +280,24 @@ def vectors_from_json(data: dict) -> tuple[WeightVector, ThresholdVector]:
 def ptr_winner(rule: PositionThresholdRule, p: ProfileLike) -> int:
     """Smallest index whose collective position meets its scaled threshold.
     Inline for an identified profile: on the few voters of a campaign
-    instance, helper calls would cost more than the arithmetic."""
+    instance, helper calls would cost more than the arithmetic.  The
+    endpoint counts are kept on the profile after its first evaluation,
+    and every later evaluation, under any rule, reads them."""
     m = rule.m
     if m != p.m:
         raise VotingError(f"m mismatch: rule {m} vs profile {p.m}")
-    if isinstance(p, AnonProfile):
-        lefts, rights = endpoint_histogram(p)
-    else:
-        lefts, rights = [0] * (m + 1), [0] * (m + 1)
-        for iv in p.voters.values():
-            lefts[iv.left] += 1
-            rights[iv.right] += 1
+    counts = p._histogram
+    if counts is None:
+        if isinstance(p, AnonProfile):
+            counts = endpoint_histogram(p)
+        else:
+            lefts, rights = [0] * (m + 1), [0] * (m + 1)
+            for iv in p.voters.values():
+                lefts[iv.left] += 1
+                rights[iv.right] += 1
+            counts = lefts, rights
+        p.__dict__["_histogram"] = counts
+    lefts, rights = counts
     n = p.n
     L = R = k = 0
     for A, B, C in rule.coeffs:

@@ -55,6 +55,7 @@ from .axioms import (
     check_strong_uncompromisingness,
     check_unanimity,
     check_weak_efficiency,
+    require_at_least,
     robustness_violation,
 )
 from .rules import (
@@ -87,14 +88,9 @@ class SearchBounds:
     lambda_max: int = 1000
 
     def __post_init__(self):
-        # a smaller bound would check no instance, or give up on every
-        # instance that needs replication, and still read as a clean sweep
-        if self.n_max < 1:
-            raise VotingError(f"n_max must be at least 1, got {self.n_max}")
-        if self.pair_budget < 2:
-            raise VotingError(f"pair_budget must be at least 2, got {self.pair_budget}")
-        if self.lambda_max < 0:
-            raise VotingError(f"lambda_max must be at least 0, got {self.lambda_max}")
+        require_at_least("n_max", self.n_max, 1)
+        require_at_least("pair_budget", self.pair_budget, 2)
+        require_at_least("lambda_max", self.lambda_max, 0)
 
 
 def enumeration_budget() -> int:
@@ -634,7 +630,8 @@ def inconsistent_alternative(
     exactly.  The alternatives decouple, so an answer k proves that no
     position-threshold rule, compatible or not, reproduces the
     observations.  At m = 2 None is exact as well.  A profile over
-    another m is refused with VotingError.
+    another m, or an observed winner that is not an integer in 1..m, is
+    refused with VotingError.
     """
     # per k, the lines (c0, c1) bounding theta_k from below (from
     # theta_k > 0 on) and from above (from theta_k < 1 on)
@@ -643,6 +640,8 @@ def inconsistent_alternative(
     for p, w in observations:
         if p.m != m:
             raise VotingError(f"m mismatch: {m} vs profile {p.m}")
+        if isinstance(w, bool) or not isinstance(w, int) or not 1 <= w <= m:
+            raise VotingError(f"observed winner must be an integer in 1..{m}, got {w!r}")
         lefts, rights = endpoint_histogram(p)
         left = right = 0
         for k in range(1, min(w, m - 1) + 1):

@@ -47,7 +47,7 @@ from intervalvote.axioms import (
     check_weak_efficiency,
     replay_violation,
 )
-from intervalvote.search import FIXTURE_TAGS, _disjoint_pairs, fixture
+from intervalvote.search import FIXTURE_TAGS, SearchBounds, _disjoint_pairs, fixture
 from wsp_oracle import enumerate_wsp_with_plateau
 
 HALF = Fraction(1, 2)
@@ -842,6 +842,27 @@ class TestPublicCheckersValidateTheirArguments:
             check_strategyproofness(em(3), self.p, 7)
         with pytest.raises(NoSuchVoter):
             check_strong_uncompromisingness(em(3), self.p, 7, Interval(1, 2))
+
+    @pytest.mark.parametrize(
+        "check, bounds",
+        [
+            (lambda: check_unanimity(em(3), 1, 0), {"n_max": 0}),
+            (
+                lambda: check_right_biased_continuity(
+                    em(3), Profile(3, {1: Interval(1, 1)}), Profile(3, {2: Interval(3, 3)}), -1
+                ),
+                {"lambda_max": -1},
+            ),
+        ],
+    )
+    def test_bounds_that_check_nothing(self, check, bounds):
+        """A bound under which the checker would check no electorate, or
+        leave every pair that lambda = 0 does not decide undetermined, is
+        refused as `SearchBounds` refuses it."""
+        with pytest.raises(VotingError) as refused:
+            SearchBounds(**bounds)
+        with pytest.raises(VotingError, match=f"^{refused.value}$"):
+            check()
 
     def test_new_interval_beyond_m_even_where_no_clause_applies(self):
         # winner x_2 lies right of voter 1's {x_1}; [1, 9] would keep its

@@ -190,6 +190,14 @@ class TestAnonymize:
         assert anon.n == p.n == 3
         assert anonymize(p) == anon
 
+    @pytest.mark.parametrize(
+        "counts", [(1.5, 0, 0), (1.0, 0, 0), (True, 0, 0), (1, False, 1), (Fraction(1), 0, 0)]
+    )
+    def test_non_integer_counts_rejected(self, counts):
+        # n = 1.5 would reach the exact winner tests as a float
+        with pytest.raises(VotingError, match="counts must be integers"):
+            AnonProfile(2, counts)
+
     @pytest.mark.parametrize("m, counts", [(1, (2,)), (0, ()), (-3, (1,) * 3)])
     def test_too_few_alternatives(self, m, counts):
         with pytest.raises(InvalidAlternativeCount):

@@ -7,6 +7,7 @@ rule.
 """
 
 import itertools
+import random
 import sys
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from intervalvote import rules, search
-from intervalvote.axioms import RuleFn
+from intervalvote.axioms import RuleFn, check_anonymity
 from intervalvote.core import (
     Interval,
     InvalidAlternative,
@@ -24,6 +25,7 @@ from intervalvote.core import (
     anonymize,
     canonical_intervals,
     combine,
+    delete_endpoint,
     replicate,
     replications,
 )
@@ -35,6 +37,7 @@ from intervalvote.rules import (
     collective_position,
     collective_positions,
     collective_position_decomposed,
+    endpoint_histogram,
     endpoint_median_oracle,
     endpoint_median_rule,
     individual_position,
@@ -420,9 +423,119 @@ def test_winner_on_derived_profiles_matches_naive_sum(case):
     assert ptr_winner(rule, p) == ptr_winner(rule, anonymize(p)) == expected
 
 
+def fresh(p: Profile) -> Profile:
+    """A validated copy of `p` that has never been evaluated."""
+    return Profile(p.m, dict(p.voters))
+
+
+def renamed_as_anonymity_builds_it(rule, p: Profile, seed: int) -> Profile:
+    """The renamed profile `check_anonymity` evaluates under the renaming
+    that `seed` shuffles, as the rule sees it when it is called."""
+    seen = []
+
+    def fn(q):
+        seen.append(q)
+        return ptr_winner(rule, q)
+
+    ids = sorted(p.voters)
+    shuffled = random.Random(seed).sample(ids, len(ids))
+    check_anonymity(RuleFn(p.m, fn), p, dict(zip(ids, shuffled)))
+    assert seen[0] is p
+    return seen[1]
+
+
+def derive(rule, p: Profile, step) -> Profile:
+    how, voter, iv, side, seed = step
+    if how == "with_interval":
+        return p.with_interval(voter, iv)
+    if how == "delete_endpoint":
+        if p.interval(voter).is_singleton():  # nothing to delete
+            return p.with_interval(voter, iv)
+        return delete_endpoint(p, voter, side)
+    return renamed_as_anonymity_builds_it(rule, p, seed)
+
+
+@st.composite
+def derivation_chains(draw):
+    """(rule, profile, steps): up to five one-voter derivations or
+    anonymity renamings, each applied to the profile before it."""
+    rule, p = draw(cases())
+    steps = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["with_interval", "delete_endpoint", "renaming"]),
+                st.sampled_from(sorted(p.voters)),
+                st.sampled_from(canonical_intervals(rule.m)),
+                st.sampled_from(["left", "right"]),
+                st.integers(0, 2**16),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    return rule, p, steps
+
+
+class TestKeptEndpointCounts:
+    """`ptr_winner` keeps a profile's endpoint counts after its first
+    evaluation, and a one-voter derivation or an anonymity renaming of an
+    evaluated profile starts from them.  That path must be exact."""
+
+    @settings(max_examples=150)
+    @given(derivation_chains())
+    def test_derivations_of_evaluated_profiles_are_exact(self, chain):
+        rule, p, steps = chain
+        ptr_winner(rule, p)
+        for step in steps:
+            q = derive(rule, p, step)
+            # the same derivation of a never evaluated copy of the parent
+            cold = derive(rule, fresh(p), step)
+            assert cold.voters == q.voters
+            assert q._histogram is not None  # inherited: the cache-hit path
+            expected = naive_winner(rule.alpha, rule.theta, q)
+            assert ptr_winner(rule, q) == ptr_winner(rule, cold) == expected
+            assert ptr_winner(rule, fresh(q)) == expected
+            assert q._histogram == endpoint_histogram(fresh(q))
+            assert cold._histogram == endpoint_histogram(fresh(q))
+            anon = anonymize(q)
+            assert ptr_winner(rule, anon) == ptr_winner(rule, anon) == expected
+            assert anon._histogram == endpoint_histogram(anonymize(q))
+            p = q
+
+    @settings(max_examples=50)
+    @given(cases())
+    def test_corrupted_counts_move_only_the_kernel(self, case):
+        rule, p = case
+        m = rule.m
+        singles = Profile(m, {v: Interval(iv.left, iv.left) for v, iv in p.voters.items()})
+        half = endpoint_median_rule(m)
+
+        def oracles():
+            return (
+                endpoint_median_oracle(p),
+                [collective_position_decomposed(rule.alpha, p, k) for k in range(1, m + 1)],
+                phantom_median_winner(rule.theta, singles),
+                endpoint_histogram(p),
+                search._profile_dependent_alpha_winner(p),
+            )
+
+        before = oracles()
+        for q, r in ((p, rule), (p, half), (singles, rule)):
+            w = ptr_winner(r, fresh(q))
+            # every endpoint at x_m fails each test below x_m; every
+            # endpoint at x_1 meets the test at x_1, since theta_1 < 1
+            end = 1 if w == m else m
+            lefts, rights = [0] * (m + 1), [0] * (m + 1)
+            lefts[end] = rights[end] = q.n
+            q.__dict__["_histogram"] = lefts, rights
+            assert ptr_winner(r, q) == end != w
+        assert oracles() == before
+
+
 def test_identified_evaluation_runs_three_python_frames():
     """A rule evaluation on an identified profile runs `RuleFn.__call__`,
-    the method and the kernel, and no Python-level helper below them."""
+    the method and the kernel, and no Python-level helper below them, on
+    the profile's first evaluation and on every later one."""
     f = RuleFn.from_ptr(endpoint_median_rule(4))
     p = Profile(4, {1: Interval(1, 2), 2: Interval(2, 4), 3: Interval(3, 3)})
     frames = []
@@ -431,17 +544,20 @@ def test_identified_evaluation_runs_three_python_frames():
         if event == "call":
             frames.append((frame.f_globals["__name__"], frame.f_code.co_name))
 
-    sys.setprofile(record)
-    try:
-        winner = f(p)
-    finally:
-        sys.setprofile(None)
-    assert winner == 2
-    assert frames == [
-        ("intervalvote.axioms", "__call__"),
-        ("intervalvote.rules", "winner"),
-        ("intervalvote.rules", "ptr_winner"),
-    ]
+    # the first evaluation counts the endpoints, the second reads them
+    for _ in range(2):
+        frames.clear()
+        sys.setprofile(record)
+        try:
+            winner = f(p)
+        finally:
+            sys.setprofile(None)
+        assert winner == 2
+        assert frames == [
+            ("intervalvote.axioms", "__call__"),
+            ("intervalvote.rules", "winner"),
+            ("intervalvote.rules", "ptr_winner"),
+        ]
 
 
 def test_cached_terms_leave_rule_identity_unchanged():

@@ -457,6 +457,41 @@ COVERAGE = {
         "shift-symmetry": (4, 2),
     },
 }
+# Of the ptr_winner calls in COVERAGE, those on a profile that already
+# holds its endpoint counts: it was evaluated before (the anonymity and
+# pair campaigns meet the same profile objects again), or it was derived
+# from an evaluated profile by one voter's change (robustness,
+# strategyproofness, strong uncompromisingness) or by the anonymity
+# renaming.  A derivation that drops the counts, or a renamed profile
+# evaluated before its original, lowers these.
+KNOWN_COUNTS = {
+    "endpoint-median": {
+        "robustness": 48,
+        "reinforcement": 510,
+        "unanimity": 0,
+        "anonymity": 69,
+        "continuity": 510,
+        "strategyproofness": 261,
+        "strong-uncompromisingness": 347,
+        "majority-criterion": 0,
+        "strong-unanimity": 0,
+        "weak-efficiency": 0,
+        "shift-symmetry": 0,
+    },
+    "skewed-weights": {
+        "robustness": 4,
+        "reinforcement": 510,
+        "unanimity": 0,
+        "anonymity": 69,
+        "continuity": 510,
+        "strategyproofness": 261,
+        "strong-uncompromisingness": 29,
+        "majority-criterion": 0,
+        "strong-unanimity": 0,
+        "weak-efficiency": 0,
+        "shift-symmetry": 0,
+    },
+}
 REPLAY_COVERAGE = {
     "endpoint-median": {},
     "skewed-weights": {"robustness": 3, "strong-uncompromisingness": 2, "shift-symmetry": 2},
@@ -507,9 +542,16 @@ FIXTURE_COVERAGE = {
 
 
 def _count_calls(monkeypatch) -> collections.Counter:
-    """Count `ptr_winner` calls and the checker calls of `search`'s
-    axiom streams in the returned counter."""
+    """Count `ptr_winner` calls, those of them on a profile that already
+    holds its endpoint counts ("known"), and the checker calls of
+    `search`'s axiom streams in the returned counter."""
     calls = collections.Counter()
+    kernel = rules.ptr_winner
+
+    def counting_kernel(rule, p):
+        calls["ptr_winner"] += 1
+        calls["known"] += p._histogram is not None
+        return kernel(rule, p)
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -518,7 +560,7 @@ def _count_calls(monkeypatch) -> collections.Counter:
 
         return wrapper
 
-    monkeypatch.setattr(rules, "ptr_winner", counting("ptr_winner", rules.ptr_winner))
+    monkeypatch.setattr(rules, "ptr_winner", counting_kernel)
     checkers = [n for n in vars(search) if n.startswith("check_") and n != "check_compatible"]
     for checker in checkers:
         monkeypatch.setattr(search, checker, counting("checker", getattr(search, checker)))
@@ -536,16 +578,18 @@ class TestCoverageGuard:
     def test_call_counts_are_pinned(self, monkeypatch, name, make):
         calls = _count_calls(monkeypatch)
         f = make()
-        seen, replayed = {}, {}
+        seen, known, replayed = {}, {}, {}
         for axiom in AXIOM_TAGS:
             calls.clear()
             campaign = falsify(f, axiom, COVERAGE_BOUNDS)
             seen[axiom] = (calls["ptr_winner"], calls["checker"])
+            known[axiom] = calls["known"]
             if campaign.violation is not None:
                 calls.clear()
                 assert replay_violation(f, json.loads(json.dumps(campaign.violation.to_json())))
                 replayed[axiom] = calls["ptr_winner"]
         assert seen == COVERAGE[name]
+        assert known == KNOWN_COUNTS[name]
         assert replayed == REPLAY_COVERAGE[name]
 
     def test_fixture_counts_are_pinned(self, monkeypatch):
@@ -776,6 +820,14 @@ class TestFixedRuleInfeasibility:
             (Profile(2, dict(enumerate(ballots, 1))), w) for ballots, w in observations
         ]
         assert inconsistent_alternative(2, profiles) == 1
+
+    @pytest.mark.parametrize("w", [0, -1, 4, 7, 1.5, True])
+    def test_observed_winner_outside_the_alternatives(self, w):
+        # w = 0 would add no constraint, w > m would act as w = m, and a
+        # float or a bool is no alternative
+        p = Profile(3, {1: Interval(1, 2), 2: Interval(3, 3)})
+        with pytest.raises(VotingError, match=r"observed winner must be an integer in 1\.\.3"):
+            inconsistent_alternative(3, [(p, 2), (p, w)])
 
     def test_least_inconsistent_alternative(self):
         # the triple moved onto {x_2, x_3}: every test at x_1 fails, which
