@@ -54,7 +54,7 @@ class RuleFn:
         if p.m != self.m:
             raise VotingError(f"m mismatch: rule {self.m} vs profile {p.m}")
         w = self.fn(p)
-        if not (1 <= w <= self.m):
+        if type(w) is not int or not 1 <= w <= self.m:
             raise VotingError(f"rule returned invalid winner {w}")
         return w
 

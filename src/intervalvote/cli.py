@@ -198,8 +198,10 @@ def cmd_falsify(args) -> int:
     """Scorecard over several axioms at once."""
     f = _load_rule_fn(args, m=args.m)
     tags = args.axioms.split(",") if args.axioms else list(AXIOM_TAGS)
-    for tag in tags:  # reject a bad tag before any campaign runs
+    for i, tag in enumerate(tags):  # reject a bad tag before any campaign runs
         axiom_stream(tag)
+        if tag in tags[:i]:
+            raise VotingError(f"axiom {tag!r} is given twice")
     bounds = _bounds(args)
     campaigns = [falsify(f, tag, bounds) for tag in tags]
     card = {c.axiom: c.to_json() for c in campaigns}

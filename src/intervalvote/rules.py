@@ -8,13 +8,12 @@ Pi_alpha(profile, x_i) >= theta_i * n, compared exactly (ties count as
 satisfied).  theta_m and alpha_m are stored but never influence the
 winner since Pi_alpha(., x_m) = n and theta_m < 1.
 
-Evaluation kernel: on a profile's first evaluation `ptr_winner` makes one
-pass over it (through `endpoint_histogram` for an anonymized one) and
-counts, per alternative, the voters whose left and whose right endpoint
-it is; the profile keeps these counts, and a one-voter derivation or a
-renaming of it starts from them (see `core.Profile`).  With the running
-sums L_k (left endpoint at or before x_k) and R_k (right endpoint at or
-before x_k) of these histograms,
+Evaluation kernel: on a profile's first evaluation `ptr_winner` counts,
+through `endpoint_histogram`, the voters whose left and whose right
+endpoint each alternative is; the profile keeps these counts, and a
+one-voter derivation or a renaming of it starts from them (see
+`core.Profile`).  With the running sums L_k (left endpoint at or before
+x_k) and R_k (right endpoint at or before x_k) of these histograms,
 Pi_alpha(x_k) = R_k + alpha_k * (L_k - R_k).  Writing alpha_k = a/b and
 theta_k = c/d with b, d > 0, the winner test Pi_alpha(x_k) >= theta_k * n
 holds exactly when the integer comparison A_k * L_k + B_k * R_k >= C_k * n
@@ -32,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import compress
 from typing import Optional, Union
 
 from .core import (
@@ -43,7 +40,6 @@ from .core import (
     InvalidAlternativeCount,
     Profile,
     VotingError,
-    canonical_intervals,
     decoding,
     json_int,
     parse_rational,
@@ -132,23 +128,15 @@ def individual_position(alpha: WeightVector, iv: Interval, k: int) -> Fraction:
 ProfileLike = Union[Profile, AnonProfile]
 
 
-@lru_cache(maxsize=32)
-def _canonical_pairs(m: int) -> tuple[tuple[int, int], ...]:
-    """(left, right) of every canonical interval, in count-vector order."""
-    return tuple((iv.left, iv.right) for iv in canonical_intervals(m))
-
-
 def endpoint_histogram(p: ProfileLike) -> tuple[list[int], list[int]]:
     """lefts[k] and rights[k]: the number of voters whose left (right)
     endpoint is x_k, for k = 1..p.m (index 0 stays 0); one pass over the
     voters, or over the nonzero counts of an anonymized profile."""
     lefts, rights = [0] * (p.m + 1), [0] * (p.m + 1)
     if isinstance(p, AnonProfile):
-        counts = p.counts
-        nonzero = zip(compress(_canonical_pairs(p.m), counts), filter(None, counts))
-        for (l, r), c in nonzero:
-            lefts[l] += c
-            rights[r] += c
+        for iv, c in p.items():
+            lefts[iv.left] += c
+            rights[iv.right] += c
     else:
         for iv in p.voters.values():
             lefts[iv.left] += 1
@@ -270,33 +258,30 @@ class PositionThresholdRule:
 
 
 def vectors_from_json(data: dict) -> tuple[WeightVector, ThresholdVector]:
-    """The weight and threshold vectors of a rule file's JSON object."""
+    """The weight and threshold vectors of a rule file's JSON object,
+    whose optional "unchecked" field must be a JSON boolean."""
     with decoding("rule"):
         m = json_int(data["m"])
+        unchecked = data.get("unchecked", False)
+        if type(unchecked) is not bool:
+            raise VotingError(
+                f"malformed rule: unchecked is {unchecked!r}, not true or false"
+            )
         alpha = WeightVector(m, tuple(data["alpha"]))
         return alpha, ThresholdVector(m, tuple(data["theta"]))
 
 
 def ptr_winner(rule: PositionThresholdRule, p: ProfileLike) -> int:
     """Smallest index whose collective position meets its scaled threshold.
-    Inline for an identified profile: on the few voters of a campaign
-    instance, helper calls would cost more than the arithmetic.  The
-    endpoint counts are kept on the profile after its first evaluation,
-    and every later evaluation, under any rule, reads them."""
+    A profile's first evaluation counts its endpoints with
+    `endpoint_histogram` and keeps the counts on the profile; every later
+    evaluation, under any rule, reads them and calls no helper."""
     m = rule.m
     if m != p.m:
         raise VotingError(f"m mismatch: rule {m} vs profile {p.m}")
     counts = p._histogram
     if counts is None:
-        if isinstance(p, AnonProfile):
-            counts = endpoint_histogram(p)
-        else:
-            lefts, rights = [0] * (m + 1), [0] * (m + 1)
-            for iv in p.voters.values():
-                lefts[iv.left] += 1
-                rights[iv.right] += 1
-            counts = lefts, rights
-        p.__dict__["_histogram"] = counts
+        counts = p.__dict__["_histogram"] = endpoint_histogram(p)
     lefts, rights = counts
     n = p.n
     L = R = k = 0

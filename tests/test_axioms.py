@@ -74,6 +74,12 @@ class TestRuleFn:
         with pytest.raises(VotingError):
             bad(Profile(3, {1: Interval(1, 1)}))
 
+    @pytest.mark.parametrize("w", [True, 1.0, 2.0])
+    def test_winner_must_be_an_int(self, w):
+        # a bool or a float would reach verdicts and serialized witnesses
+        with pytest.raises(VotingError, match=f"rule returned invalid winner {w}$"):
+            RuleFn(3, lambda p: w)(Profile(3, {1: Interval(1, 2)}))
+
     def test_m_mismatch(self):
         with pytest.raises(VotingError):
             em(3)(Profile(4, {1: Interval(1, 1)}))

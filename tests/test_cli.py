@@ -122,9 +122,10 @@ class TestWinner:
         code, out = run(capsys, "winner", "--rule", rule, "--profile", figure_profile)
         assert code == EXIT_OK
         assert json.loads(out)["winner"] == 1
-        rule = files("unmarked.json", data)
-        code, _ = run(capsys, "winner", "--rule", rule, "--profile", figure_profile)
-        assert code == EXIT_INCOMPATIBLE
+        for unmarked in (data, {**data, "unchecked": False}):
+            rule = files("unmarked.json", unmarked)
+            code, _ = run(capsys, "winner", "--rule", rule, "--profile", figure_profile)
+            assert code == EXIT_INCOMPATIBLE
 
     def test_byte_identical_output(self, capsys, em_rule, figure_profile):
         _, a = run(capsys, "winner", "--rule", em_rule, "--profile", figure_profile)
@@ -168,6 +169,28 @@ class TestMalformedInput:
         code = main(["winner", "--rule", em_rule, "--profile", profile])
         assert code == EXIT_PARSE
         assert "malformed profile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["winner", "--profile"],
+            ["winner", "--unchecked", "--profile"],
+            ["compat"],
+            ["witness", "--kind", "compat"],
+            ["audit", "--axiom", "unanimity"],
+        ],
+    )
+    @pytest.mark.parametrize("unchecked", ["false", 1, None])
+    def test_unchecked_not_a_boolean(self, capsys, files, argv, unchecked):
+        # incompatible at index 1; read as unchecked, x_1 would win
+        data = {"m": 3, "theta": ["1/2"] * 3, "alpha": ["3/4", "1/4", "1/4"]}
+        rule = files("r.json", {**data, "unchecked": unchecked})
+        profile = files("p.json", {"m": 3, "voters": [{"id": 1, "interval": [1, 2]}]})
+        tail = [profile] if argv[-1] == "--profile" else []
+        code = main([argv[0], "--rule", rule, *argv[1:], *tail])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"malformed rule: unchecked is {unchecked!r}, not true or false" in err
 
     def test_non_numeric_rational(self, capsys, files, figure_profile):
         rule = files("r.json", {"m": 4, "theta": ["x"] + ["1/2"] * 3, "alpha": ["1"] * 4})
@@ -711,6 +734,18 @@ class TestFalsifyCommand:
         )
         assert code == EXIT_PARSE
         assert out == ""
+
+    def test_repeated_axiom_rejected_before_any_campaign(self, capsys, monkeypatch):
+        # one scorecard entry per tag: a repeat would run its campaign twice
+        monkeypatch.setenv("INTERVAL_VOTE_BUDGET", "1")
+        code = main(
+            ["falsify", "--fixture", "constant", "--m", "6", "--n-max", "1",
+             "--axioms", "unanimity,strategyproofness,unanimity"]
+        )
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "axiom 'unanimity' is given twice" in captured.err
 
 
 class TestWitnessCommand:

@@ -476,6 +476,22 @@ def derivation_chains(draw):
     return rule, p, steps
 
 
+def tally(p: Profile) -> tuple[list[int], list[int]]:
+    """The endpoint counts by definition: for k = 0..m, the number of
+    voters whose left (right) endpoint is x_k."""
+    voters = p.voters.values()
+    return (
+        [sum(iv.left == k for iv in voters) for k in range(p.m + 1)],
+        [sum(iv.right == k for iv in voters) for k in range(p.m + 1)],
+    )
+
+
+@given(st.data(), st.integers(2, 6))
+def test_endpoint_histogram_is_the_tally(data, m):
+    p = data.draw(profiles(m))
+    assert endpoint_histogram(anonymize(p)) == endpoint_histogram(p) == tally(p)
+
+
 class TestKeptEndpointCounts:
     """`ptr_winner` keeps a profile's endpoint counts after its first
     evaluation, and a one-voter derivation or an anonymity renaming of an
@@ -495,11 +511,11 @@ class TestKeptEndpointCounts:
             expected = naive_winner(rule.alpha, rule.theta, q)
             assert ptr_winner(rule, q) == ptr_winner(rule, cold) == expected
             assert ptr_winner(rule, fresh(q)) == expected
-            assert q._histogram == endpoint_histogram(fresh(q))
-            assert cold._histogram == endpoint_histogram(fresh(q))
+            assert q._histogram == tally(q)
+            assert cold._histogram == tally(q)
             anon = anonymize(q)
             assert ptr_winner(rule, anon) == ptr_winner(rule, anon) == expected
-            assert anon._histogram == endpoint_histogram(anonymize(q))
+            assert anon._histogram == tally(q)
             p = q
 
     @settings(max_examples=50)
@@ -532,10 +548,11 @@ class TestKeptEndpointCounts:
         assert oracles() == before
 
 
-def test_identified_evaluation_runs_three_python_frames():
+def test_identified_evaluation_counts_once_then_runs_three_python_frames():
     """A rule evaluation on an identified profile runs `RuleFn.__call__`,
-    the method and the kernel, and no Python-level helper below them, on
-    the profile's first evaluation and on every later one."""
+    the method and the kernel; the profile's first evaluation adds one
+    `endpoint_histogram` call below the kernel, and every later one runs
+    no Python-level helper."""
     f = RuleFn.from_ptr(endpoint_median_rule(4))
     p = Profile(4, {1: Interval(1, 2), 2: Interval(2, 4), 3: Interval(3, 3)})
     frames = []
@@ -544,8 +561,14 @@ def test_identified_evaluation_runs_three_python_frames():
         if event == "call":
             frames.append((frame.f_globals["__name__"], frame.f_code.co_name))
 
-    # the first evaluation counts the endpoints, the second reads them
-    for _ in range(2):
+    three = [
+        ("intervalvote.axioms", "__call__"),
+        ("intervalvote.rules", "winner"),
+        ("intervalvote.rules", "ptr_winner"),
+    ]
+    counting = three + [("intervalvote.rules", "endpoint_histogram")]
+    # the first evaluation counts the endpoints, the later ones read them
+    for expected in (counting, three, three):
         frames.clear()
         sys.setprofile(record)
         try:
@@ -553,11 +576,7 @@ def test_identified_evaluation_runs_three_python_frames():
         finally:
             sys.setprofile(None)
         assert winner == 2
-        assert frames == [
-            ("intervalvote.axioms", "__call__"),
-            ("intervalvote.rules", "winner"),
-            ("intervalvote.rules", "ptr_winner"),
-        ]
+        assert frames == expected
 
 
 def test_cached_terms_leave_rule_identity_unchanged():

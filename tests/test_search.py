@@ -543,8 +543,9 @@ FIXTURE_COVERAGE = {
 
 def _count_calls(monkeypatch) -> collections.Counter:
     """Count `ptr_winner` calls, those of them on a profile that already
-    holds its endpoint counts ("known"), and the checker calls of
-    `search`'s axiom streams in the returned counter."""
+    holds its endpoint counts ("known"), `rules.endpoint_histogram` calls
+    and the checker calls of `search`'s axiom streams in the returned
+    counter."""
     calls = collections.Counter()
     kernel = rules.ptr_winner
 
@@ -561,6 +562,8 @@ def _count_calls(monkeypatch) -> collections.Counter:
         return wrapper
 
     monkeypatch.setattr(rules, "ptr_winner", counting_kernel)
+    histogram = counting("endpoint_histogram", rules.endpoint_histogram)
+    monkeypatch.setattr(rules, "endpoint_histogram", histogram)
     checkers = [n for n in vars(search) if n.startswith("check_") and n != "check_compatible"]
     for checker in checkers:
         monkeypatch.setattr(search, checker, counting("checker", getattr(search, checker)))
@@ -578,18 +581,24 @@ class TestCoverageGuard:
     def test_call_counts_are_pinned(self, monkeypatch, name, make):
         calls = _count_calls(monkeypatch)
         f = make()
-        seen, known, replayed = {}, {}, {}
+        seen, known, counted, replayed = {}, {}, {}, {}
         for axiom in AXIOM_TAGS:
             calls.clear()
             campaign = falsify(f, axiom, COVERAGE_BOUNDS)
             seen[axiom] = (calls["ptr_winner"], calls["checker"])
             known[axiom] = calls["known"]
+            counted[axiom] = calls["endpoint_histogram"]
             if campaign.violation is not None:
                 calls.clear()
                 assert replay_violation(f, json.loads(json.dumps(campaign.violation.to_json())))
                 replayed[axiom] = calls["ptr_winner"]
         assert seen == COVERAGE[name]
         assert known == KNOWN_COUNTS[name]
+        # the kernel counts a profile's endpoints exactly when it finds
+        # none kept, e.g. 75 - 48 = 27 times for endpoint-median robustness
+        assert counted == {
+            a: COVERAGE[name][a][0] - KNOWN_COUNTS[name][a] for a in AXIOM_TAGS
+        }
         assert replayed == REPLAY_COVERAGE[name]
 
     def test_fixture_counts_are_pinned(self, monkeypatch):
