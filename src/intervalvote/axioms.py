@@ -9,6 +9,7 @@ apply; it is never counted as evidence for the rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
@@ -19,7 +20,6 @@ from .core import (
     VotingError,
     combine,
     decoding,
-    delete_endpoint,
     interval_table,
     json_int,
     replications,
@@ -33,7 +33,7 @@ from .preferences import (
     is_wsp_with_plateau,
     some_wsp_prefers,
 )
-from .rules import PositionThresholdRule
+from . import rules
 
 PASS = "pass"
 VACUOUS = "vacuous"
@@ -42,25 +42,36 @@ SATISFIED = "satisfied"
 UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class RuleFn:
-    """A total deterministic voting rule as a black box."""
+def _validated(m: int, fn: Callable[[Profile], int], p: Profile) -> int:
+    """fn(p), refusing a profile over another m and a winner not in 1..m."""
+    if p.m != m:
+        raise VotingError(f"m mismatch: rule {m} vs profile {p.m}")
+    w = fn(p)
+    if type(w) is not int or not 1 <= w <= m:
+        raise VotingError(f"rule returned invalid winner {w}")
+    return w
 
-    m: int
-    fn: Callable[[Profile], int]
-    name: str = "rule"
 
-    def __call__(self, p: Profile) -> int:
-        if p.m != self.m:
-            raise VotingError(f"m mismatch: rule {self.m} vs profile {p.m}")
-        w = self.fn(p)
-        if type(w) is not int or not 1 <= w <= self.m:
-            raise VotingError(f"rule returned invalid winner {w}")
-        return w
+class RuleFn(partial):
+    """A total deterministic voting rule over `m` alternatives, named
+    `name`, as a bound call: evaluating it is one C-level call.
+    `RuleFn(m, fn, name)` binds `_validated` to m and the black box fn.
+    `RuleFn.from_ptr(rule, name)` binds `rules.ptr_winner` to the
+    threshold rule, with no wrapper: the kernel refuses a profile over
+    another m with the same message and always returns an int in 1..m.
+    It is looked up when the rule is built, so a counter patched over
+    it beforehand counts every call."""
+
+    def __new__(cls, m: int, fn: Callable[[Profile], int], name: str = "rule") -> "RuleFn":
+        self = partial.__new__(cls, _validated, m, fn)
+        self.m, self.name = m, name
+        return self
 
     @classmethod
-    def from_ptr(cls, rule: PositionThresholdRule, name: str = "ptr") -> "RuleFn":
-        return cls(rule.m, rule.winner, name)
+    def from_ptr(cls, rule: rules.PositionThresholdRule, name: str = "ptr") -> "RuleFn":
+        self = partial.__new__(cls, rules.ptr_winner, rule)
+        self.m, self.name = rule.m, name
+        return self
 
 
 @dataclass(frozen=True)
@@ -141,11 +152,15 @@ def check_robustness(f: RuleFn, p: Profile) -> CheckResult:
     profile = None
     before = f(p)
     for voter in sorted(p.voters, key=str):
-        iv = p.interval(voter)
-        if iv.is_singleton():
+        iv = p.voters[voter]
+        l, r = iv.left, iv.right
+        if l == r:
             continue
-        for side in ("left", "right"):
-            after = f(delete_endpoint(p, voter, side))
+        for side, shrunk in (
+            ("left", table_interval(p.m, l + 1, r)),
+            ("right", table_interval(p.m, l, r - 1)),
+        ):
+            after = f(p._with_interval(voter, shrunk))
             if not robust_step(iv, side, before, after):
                 if profile is None:
                     profile = p.to_json()

@@ -99,7 +99,7 @@ def _load_rule_fn(args, m: Optional[int] = None) -> RuleFn:
     rule = _load_ptr(args)
     if m is not None and m != rule.m:
         raise VotingError(f"--m {m} does not match the rule file's m={rule.m}")
-    return RuleFn.from_ptr(rule)
+    return RuleFn.from_ptr(rule, name=args.rule)
 
 
 def _load_ptr(args) -> PositionThresholdRule:
@@ -287,50 +287,53 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intervalvote",
         description="Exact-arithmetic voting on the interval domain.",
+        allow_abbrev=False,
     )
     parser.add_argument("--pretty", action="store_true", help="indent JSON output")
     subs = parser.add_subparsers(dest="command", required=True)
+    # an abbreviation could silently name another flag (--n for --n-max)
+    add_parser = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    s = subs.add_parser("winner", help="evaluate a rule on a profile")
+    s = add_parser("winner", help="evaluate a rule on a profile")
     _add_rule_flags(s)
     s.add_argument("--profile", required=True)
     s.set_defaults(fn=cmd_winner)
 
-    s = subs.add_parser("compat", help="weight/threshold compatibility test")
+    s = add_parser("compat", help="weight/threshold compatibility test")
     s.add_argument("--rule", required=True)
     s.set_defaults(fn=cmd_compat)
 
-    s = subs.add_parser("decompose", help="split an interval into weighted singletons")
+    s = add_parser("decompose", help="split an interval into weighted singletons")
     _add_rule_flags(s, fixture_allowed=False)
     s.add_argument("--left", type=int, required=True)
     s.add_argument("--right", type=int, required=True)
     s.set_defaults(fn=cmd_decompose)
 
-    s = subs.add_parser("audit", help="exhaustive single-axiom campaign")
+    s = add_parser("audit", help="exhaustive single-axiom campaign")
     _add_rule_flags(s)
     _add_campaign_flags(s)
     s.add_argument("--axiom", help="axiom tag to audit")
     s.add_argument("--replay", help="violation JSON file to replay instead")
     s.set_defaults(fn=cmd_audit)
 
-    s = subs.add_parser("falsify", help="scorecard across several axioms")
+    s = add_parser("falsify", help="scorecard across several axioms")
     _add_rule_flags(s)
     _add_campaign_flags(s)
     s.add_argument("--axioms", help="comma-separated axiom tags (default: all)")
     s.set_defaults(fn=cmd_falsify)
 
-    s = subs.add_parser("witness", help="proof-derived counterexample constructions")
+    s = add_parser("witness", help="proof-derived counterexample constructions")
     s.add_argument("--rule", required=True)
     s.add_argument("--kind", choices=["compat", "theorem2"], required=True)
     s.set_defaults(fn=cmd_witness)
 
-    s = subs.add_parser(
+    s = add_parser(
         "oracle-median", help="cross-check the all-1/2 rule against the endpoint median"
     )
     s.add_argument("--profile", required=True)
     s.set_defaults(fn=cmd_oracle_median)
 
-    s = subs.add_parser("enumerate", help="list anonymized profiles")
+    s = add_parser("enumerate", help="list anonymized profiles")
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--count-only", action="store_true", dest="count_only")

@@ -170,11 +170,11 @@ class Profile:
     A voter id is an int or a string.  `Profile(m, voters)` and
     `from_json` validate their input and copy the mapping.  Profiles
     derived from a valid one (an endpoint deletion, a combination, a
-    replication, a campaign's enumeration) are built with
-    `Profile._of`, which trusts its input.  Every profile stores its
-    voter count `n` when it is built.  A profile's `voters` is never
-    mutated, because `rules.ptr_winner` keeps the profile's endpoint
-    counts after its first evaluation.
+    replication, a campaign's enumeration) are built without checks, by
+    `Profile._of` or, for a one-voter change, `_with_interval`.  Every
+    profile stores its voter count `n` when it is built.  Its `voters`
+    is never mutated, because `rules.ptr_winner` keeps the profile's
+    endpoint counts after its first evaluation.
     """
 
     m: int
@@ -228,7 +228,9 @@ class Profile:
         when this one has them."""
         new = self.voters.copy()
         new[voter] = iv
-        p = Profile._of(self.m, new)
+        p = object.__new__(Profile)  # `_of` inlined: this runs per deviation
+        attrs = p.__dict__
+        attrs["m"], attrs["voters"], attrs["n"] = self.m, new, self.n
         counts = self._histogram
         if counts is not None:
             old = self.voters[voter]
@@ -237,7 +239,7 @@ class Profile:
             rights[old.right] -= 1
             lefts[iv.left] += 1
             rights[iv.right] += 1
-            p.__dict__["_histogram"] = lefts, rights
+            attrs["_histogram"] = lefts, rights
         return p
 
     def _renamed(self, voters: dict) -> "Profile":

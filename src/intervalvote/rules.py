@@ -76,7 +76,8 @@ class WeightVector:
             raise InvalidAlternativeCount(f"need m >= 2, got {self.m}")
         vec = _as_fractions(self.alpha, self.m, "alpha")
         for a in vec:
-            if not (0 <= a <= 1):
+            num, den = a.as_integer_ratio()
+            if not 0 <= num <= den:
                 raise VotingError(f"weights must lie in [0, 1], got {a}")
         object.__setattr__(self, "alpha", vec)
 
@@ -96,11 +97,12 @@ class ThresholdVector:
         if self.m < 2:
             raise InvalidAlternativeCount(f"need m >= 2, got {self.m}")
         vec = _as_fractions(self.theta, self.m, "theta")
-        for t in vec:
-            if not (0 < t < 1):
+        ratios = [t.as_integer_ratio() for t in vec]
+        for t, (num, den) in zip(vec, ratios):
+            if not 0 < num < den:
                 raise VotingError(f"thresholds must lie in (0, 1), got {t}")
-        for a, b in zip(vec, vec[1:]):
-            if a < b:
+        for (c, d), (c2, d2) in zip(ratios, ratios[1:]):
+            if c * d2 < c2 * d:
                 raise VotingError("thresholds must be non-increasing")
         object.__setattr__(self, "theta", vec)
 
@@ -170,16 +172,22 @@ def check_compatible(
     """Test whether the weight vector works with the threshold vector.
 
     Compatibility means that once some alternative's collective position
-    meets its threshold, so does every alternative to its right.  It
-    reduces to a closed-form inequality per index; returns
-    (True, None) or (False, least violating index).
+    meets its threshold, so does every alternative to its right.  Index
+    i fails it when alpha_{i+1} - alpha_i < (theta_{i+1} - theta_i) * s
+    for both s = alpha_i / theta_i and s = (1 - alpha_i) / (1 - theta_i),
+    as the threshold step is at most 0; the test compares integers.
+    Returns (True, None) or (False, least violating index).
     """
     if alpha.m != theta.m:
         raise VotingError(f"m mismatch: {alpha.m} vs {theta.m}")
-    a, t = alpha.alpha, theta.theta
+    alphas = [x.as_integer_ratio() for x in alpha.alpha]
+    thetas = [x.as_integer_ratio() for x in theta.theta]
     for i in range(alpha.m - 2):  # indices 1..m-2, 0-based i
-        slope = max(a[i] / t[i], (1 - a[i]) / (1 - t[i]))
-        if a[i + 1] - a[i] < (t[i + 1] - t[i]) * slope:
+        (a, b), (a2, b2) = alphas[i], alphas[i + 1]
+        (c, d), (c2, d2) = thetas[i], thetas[i + 1]
+        # the two steps, scaled by b*b2*d2 and d*d2*b2
+        da, dt = (a2 * b - a * b2) * d2, (c2 * d - c * d2) * b2
+        if da * c < dt * a and da * (d - c) < dt * (b - a):
             return False, i + 1
     return True, None
 

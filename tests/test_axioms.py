@@ -825,7 +825,7 @@ class TestRewrittenCheckersAgainstDefinition:
 
         def keeping(p):
             kept.append((p, dict(p.voters)))
-            return rule.fn(p)
+            return rule(p)
 
         f = RuleFn(m, keeping)
         for inputs, check, _ in checks_and_references(f, m, n_max):

@@ -492,6 +492,33 @@ class TestMalformedInput:
         assert captured.err == "error: --m 5 does not match the rule file's m=4\n"
 
 
+class TestAbbreviations:
+    """An option is only ever its full spelling: a prefix could name
+    another option, such as `enumerate`'s `--n` read as `--n-max`."""
+
+    @pytest.mark.parametrize(
+        "argv, short, full",
+        [
+            ("audit --axiom robustness --n 1", "--n", "--n-max"),
+            ("falsify --n-max 1 --axiom unanimity", "--axiom", "--axioms"),
+            ("audit --axiom unanimity --lambda 3", "--lambda", "--lambda-max"),
+        ],
+    )
+    def test_refused(self, capsys, em_rule, argv, short, full):
+        argv = argv.split() + ["--rule", em_rule]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_PARSE
+        assert f"unrecognized arguments: {short}" in capsys.readouterr().err
+        assert main([full if a == short else a for a in argv]) == EXIT_OK
+
+    def test_refused_before_the_command(self, capsys, em_rule):
+        with pytest.raises(SystemExit) as exc:
+            main(["--pre", "compat", "--rule", em_rule])
+        assert exc.value.code == EXIT_PARSE
+        assert main(["--pretty", "compat", "--rule", em_rule]) == EXIT_OK
+
+
 class TestForgedReplay:
     """A well-formed witness that the axiom's checker could not have
     produced does not replay (exit 0), even on a rule it would hurt."""
@@ -720,9 +747,18 @@ class TestFalsifyCommand:
             "2",
         )
         assert code == EXIT_VIOLATION
-        card = json.loads(out)["scorecard"]
+        data = json.loads(out)
+        assert data["rule"] == "constant-x1"
+        card = data["scorecard"]
         assert card["unanimity"]["violation"] is not None
         assert card["anonymity"]["violation"] is None
+
+    def test_scorecard_names_the_rule_file(self, capsys, em_rule):
+        code, out = run(
+            capsys, "falsify", "--rule", em_rule, "--axioms", "unanimity", "--n-max", "1"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["rule"] == em_rule
 
     def test_unknown_axiom_rejected_before_any_campaign(self, capsys, monkeypatch):
         # run first, the strategyproofness campaign would exceed the

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from intervalvote import rules, search
+from intervalvote import axioms, rules, search
 from intervalvote.axioms import RuleFn, check_anonymity
 from intervalvote.core import (
     Interval,
@@ -548,35 +548,42 @@ class TestKeptEndpointCounts:
         assert oracles() == before
 
 
-def test_identified_evaluation_counts_once_then_runs_three_python_frames():
-    """A rule evaluation on an identified profile runs `RuleFn.__call__`,
-    the method and the kernel; the profile's first evaluation adds one
-    `endpoint_histogram` call below the kernel, and every later one runs
-    no Python-level helper."""
-    f = RuleFn.from_ptr(endpoint_median_rule(4))
-    p = Profile(4, {1: Interval(1, 2), 2: Interval(2, 4), 3: Interval(3, 3)})
+def traced(f, p) -> tuple[int, list]:
+    """f(p), and the code of each Python function it ran, in call order."""
     frames = []
 
     def record(frame, event, arg):
         if event == "call":
-            frames.append((frame.f_globals["__name__"], frame.f_code.co_name))
+            frames.append(frame.f_code)
 
-    three = [
-        ("intervalvote.axioms", "__call__"),
-        ("intervalvote.rules", "winner"),
-        ("intervalvote.rules", "ptr_winner"),
-    ]
-    counting = three + [("intervalvote.rules", "endpoint_histogram")]
+    sys.setprofile(record)
+    try:
+        winner = f(p)
+    finally:
+        sys.setprofile(None)
+    return winner, frames
+
+
+def test_identified_evaluation_counts_once_then_runs_one_python_frame():
+    """A threshold rule's evaluation is the kernel's frame alone, since
+    `RuleFn.from_ptr` binds `ptr_winner` itself; the profile's first
+    evaluation adds one `endpoint_histogram` call below it, and every
+    later one runs no Python-level helper."""
+    f = RuleFn.from_ptr(endpoint_median_rule(4))
+    p = Profile(4, {1: Interval(1, 2), 2: Interval(2, 4), 3: Interval(3, 3)})
+    kernel = [rules.ptr_winner.__code__]
+    counting = kernel + [rules.endpoint_histogram.__code__]
     # the first evaluation counts the endpoints, the later ones read them
-    for expected in (counting, three, three):
-        frames.clear()
-        sys.setprofile(record)
-        try:
-            winner = f(p)
-        finally:
-            sys.setprofile(None)
-        assert winner == 2
-        assert frames == expected
+    for expected in (counting, kernel, kernel):
+        assert traced(f, p) == (2, expected)
+
+
+def test_black_box_evaluation_runs_the_validation_and_the_rule():
+    def fn(p):
+        return 1
+
+    p = Profile(4, {1: Interval(1, 2)})
+    assert traced(RuleFn(4, fn), p) == (1, [axioms._validated.__code__, fn.__code__])
 
 
 def test_cached_terms_leave_rule_identity_unchanged():

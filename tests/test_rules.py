@@ -1,6 +1,7 @@
 """Position-threshold rules: winners, compatibility, decomposition."""
 
 import json
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -53,8 +54,10 @@ def rule_all_one(m: int) -> PositionThresholdRule:
 
 class TestVectors:
     def test_weight_bounds(self):
-        with pytest.raises(VotingError):
-            WeightVector(2, (Fraction(-1, 2), Fraction(1)))
+        for bad in (Fraction(-1, 2), Fraction(101, 100)):
+            with pytest.raises(VotingError, match="weights must lie in"):
+                WeightVector(2, (bad, Fraction(1)))
+        assert WeightVector(2, (Fraction(0), Fraction(1))).alpha == (0, 1)
 
     def test_threshold_open_interval(self):
         with pytest.raises(VotingError):
@@ -65,6 +68,8 @@ class TestVectors:
     def test_threshold_monotone(self):
         with pytest.raises(VotingError):
             ThresholdVector(3, (Fraction(1, 3), HALF, HALF))
+        with pytest.raises(VotingError, match="non-increasing"):
+            ThresholdVector(3, (HALF, Fraction(2, 5), Fraction(41, 100)))
         ThresholdVector(3, (HALF, Fraction(1, 3), Fraction(1, 3)))
 
     def test_strings_accepted(self):
@@ -115,6 +120,17 @@ class TestWorkedWinners:
     def test_tie_counts_as_satisfied(self):
         p = Profile(2, {1: Interval(1, 1), 2: Interval(2, 2)})
         assert endpoint_median_rule(2).winner(p) == 1
+
+
+def fraction_compatible(alpha, theta):
+    """`check_compatible` as the slope formula in `Fraction`s: the
+    reference for its integer comparisons."""
+    a, t = alpha.alpha, theta.theta
+    for i in range(alpha.m - 2):
+        slope = max(a[i] / t[i], (1 - a[i]) / (1 - t[i]))
+        if a[i + 1] - a[i] < (t[i + 1] - t[i]) * slope:
+            return False, i + 1
+    return True, None
 
 
 class TestCompatibility:
@@ -196,6 +212,27 @@ class TestCompatibility:
         assert data["unchecked"] is True
         again = PositionThresholdRule.from_json(data)
         assert again == rule and not again.compatible
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_integer_test_matches_the_fraction_formula(self, m):
+        rng = random.Random(m)
+        verdicts = set()
+        for _ in range(2000):
+            alpha = search.random_weight_vector(m, rng)
+            theta = search.random_threshold_vector(m, rng)
+            got = check_compatible(alpha, theta)
+            assert got == fraction_compatible(alpha, theta), (alpha, theta)
+            verdicts.add(got[0])
+        assert verdicts == {True, False}
+
+    def test_boundary_pair(self):
+        # equal steps at slope 1: alpha_2 - alpha_1 = theta_2 - theta_1
+        third = Fraction(1, 3)
+        theta = ThresholdVector(3, (HALF, third, third))
+        for a2, expected in ((third, (True, None)), (Fraction(33, 100), (False, 1))):
+            alpha = WeightVector(3, (HALF, a2, third))
+            assert check_compatible(alpha, theta) == expected
+            assert fraction_compatible(alpha, theta) == expected
 
     def test_direct_construction_derives_compatibility(self):
         # built without either constructor, the rule still reports the
