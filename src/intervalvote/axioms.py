@@ -9,7 +9,7 @@ apply; it is never counted as evidence for the rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
@@ -20,12 +20,12 @@ from .core import (
     VotingError,
     combine,
     decoding,
+    interval_grid,
     interval_table,
     json_int,
     replications,
     require_disjoint,
     robust_step,
-    table_interval,
 )
 from .preferences import (
     WeakOrder,
@@ -150,18 +150,16 @@ def check_robustness(f: RuleFn, p: Profile) -> CheckResult:
     move it one step inward from that extreme."""
     violations = []
     profile = None
+    grid = interval_grid(p.m)
     before = f(p)
     for voter in sorted(p.voters, key=str):
         iv = p.voters[voter]
         l, r = iv.left, iv.right
         if l == r:
             continue
-        for side, shrunk in (
-            ("left", table_interval(p.m, l + 1, r)),
-            ("right", table_interval(p.m, l, r - 1)),
-        ):
+        for side, shrunk in (("left", grid[l + 1][r]), ("right", grid[l][r - 1])):
             after = f(p._with_interval(voter, shrunk))
-            if not robust_step(iv, side, before, after):
+            if after != before and not robust_step(iv, side, before, after):
                 if profile is None:
                     profile = p.to_json()
                 violations.append(robustness_violation(profile, voter, side, before, after))
@@ -274,8 +272,11 @@ def check_right_biased_continuity(
     to the previous one, with the voter ids of
     `combine(replicate(p1, lambda, avoid_ids=p2.voters), p2)`.
     """
-    require_at_least("lambda_max", lambda_max, 0)
-    require_disjoint(p1, p2)
+    # each helper runs only when its inline check fails, to raise its error
+    if lambda_max < 0:
+        require_at_least("lambda_max", lambda_max, 0)
+    if p1.m != p2.m or not p1.voters.keys().isdisjoint(p2.voters):
+        require_disjoint(p1, p2)
     w1, w = f(p1), f(p2)
     case = "i" if w <= w1 else "ii"
     # the combined winner must land in [w1, hi]
@@ -295,10 +296,17 @@ def check_right_biased_continuity(
             )
         grown = grown or replications(p1, p2)
         w = f(next(grown))
+    return _satisfied(case, lam, w if case == "ii" else None)
+
+
+@lru_cache(maxsize=1024)
+def _satisfied(case: str, lam: int, bound: Optional[int]) -> CheckResult:
+    """The shared result of a satisfied continuity instance, with a
+    read-only `detail`: case, lambda and, in case (ii), the bound."""
     detail = {"case": case, "lambda": lam}
-    if case == "ii":
-        detail["bound"] = w
-    return CheckResult(SATISFIED, detail=detail)
+    if bound is not None:
+        detail["bound"] = bound
+    return CheckResult(SATISFIED, detail=MappingProxyType(detail))
 
 
 def check_strategyproofness(f: RuleFn, p: Profile, voter: VoterId) -> CheckResult:
@@ -306,15 +314,18 @@ def check_strategyproofness(f: RuleFn, p: Profile, voter: VoterId) -> CheckResul
     single-peaked preference whose plateau is the voter's interval;
     `violations` holds one witness per manipulating report, naming the
     first such preference that gains from it."""
-    truth = p.interval(voter)
+    truth = p.voters.get(voter) or p.interval(voter)  # NoSuchVoter if absent
+    own = interval_grid(p.m)[truth.left][truth.right]
     honest = f(p)
+    # no preference with plateau `truth` ranks anything above a winner on it
+    gainless = truth.left <= honest <= truth.right
     violations = []
     profile = None
     for report in interval_table(p.m):
-        if report == truth:
+        if report is own:
             continue
         outcome = f(p._with_interval(voter, report))
-        if not some_wsp_prefers(truth, outcome, honest):
+        if gainless or not some_wsp_prefers(truth, outcome, honest):
             continue
         pref = first_wsp_witness(p.m, truth, outcome, honest).to_json()
         if profile is None:
@@ -362,8 +373,9 @@ def _uncompromising_condition(
 def check_strong_uncompromisingness(
     f: RuleFn, p: Profile, voter: VoterId, new_interval: Interval
 ) -> CheckResult:
-    old = p.interval(voter)
-    new_interval.validate(p.m)
+    old = p.voters.get(voter) or p.interval(voter)  # NoSuchVoter if absent
+    if new_interval.right > p.m:
+        new_interval.validate(p.m)
     winner = f(p)
     condition = _uncompromising_condition(winner, old, new_interval)
     if condition is None:
@@ -385,10 +397,11 @@ def check_strong_uncompromisingness(
 def check_shift_symmetry(f: RuleFn, p: Profile) -> CheckResult:
     """Shifting every interval one step right must shift the winner."""
     shifted = {}
+    grid = interval_grid(p.m)
     for v, iv in p.voters.items():
         if iv.right >= p.m:
             return VACUOUS_PASS
-        shifted[v] = table_interval(p.m, iv.left + 1, iv.right + 1)
+        shifted[v] = grid[iv.left + 1][iv.right + 1]
     w, ws = f(p), f(Profile._of(p.m, shifted))
     if ws == w + 1:
         return PASSED

@@ -72,13 +72,15 @@ def _load_profile(path: str) -> Profile:
 
 
 def _parse_fixture_spec(spec: str) -> tuple[str, dict]:
-    tag, _, raw = spec.partition(":")
+    tag, colon, raw = spec.partition(":")
     params = {}
-    if raw:
+    if colon:  # "TAG:" has one empty parameter
         for piece in raw.split(","):
             key, _, val = piece.partition("=")
             if not val:
                 raise VotingError(f"bad fixture parameter {piece!r}")
+            if key in params:
+                raise VotingError(f"fixture parameter {key!r} is given twice")
             params[key] = val
     return tag, params
 
@@ -190,14 +192,15 @@ def cmd_audit(args) -> int:
         _emit({"replayed": reproduced, "axiom": violation.get("axiom")}, args.pretty)
         return EXIT_VIOLATION if reproduced else EXIT_OK
     campaign = falsify(f, args.axiom, _bounds(args))
-    _emit(campaign.to_json(), args.pretty)
+    _emit({"rule": f.name, **campaign.to_json()}, args.pretty)
     return _campaign_exit([campaign])
 
 
 def cmd_falsify(args) -> int:
     """Scorecard over several axioms at once."""
     f = _load_rule_fn(args, m=args.m)
-    tags = args.axioms.split(",") if args.axioms else list(AXIOM_TAGS)
+    # only an absent --axioms means all; '' names the empty tag
+    tags = args.axioms.split(",") if args.axioms is not None else list(AXIOM_TAGS)
     for i, tag in enumerate(tags):  # reject a bad tag before any campaign runs
         axiom_stream(tag)
         if tag in tags[:i]:

@@ -138,15 +138,12 @@ def canonical_intervals(m: int) -> list[Interval]:
     return [Interval(l, r) for l in range(1, m + 1) for r in range(l, m + 1)]
 
 
-def _index(m: int, l: int, r: int) -> int:
-    # intervals with left endpoint < l: sum of (m - j + 1) for j < l
-    return (l - 1) * m - (l - 1) * (l - 2) // 2 + (r - l)
-
-
 def canonical_index(m: int, iv: Interval) -> int:
     """Position of `iv` in canonical_intervals(m)."""
     iv.validate(m)
-    return _index(m, iv.left, iv.right)
+    l, r = iv.left, iv.right
+    # intervals with left endpoint < l: sum of (m - j + 1) for j < l
+    return (l - 1) * m - (l - 1) * (l - 2) // 2 + (r - l)
 
 
 @lru_cache(maxsize=32)
@@ -157,10 +154,20 @@ def interval_table(m: int) -> tuple[Interval, ...]:
     return tuple(canonical_intervals(m))
 
 
+@lru_cache(maxsize=32)
+def interval_grid(m: int) -> tuple[tuple[Interval, ...], ...]:
+    """interval_table(m) by endpoints: grid[left][right] is the table's
+    [left, right] for 1 <= left <= right <= m, other entries are None."""
+    grid = [[None] * (m + 1) for _ in range(m + 1)]
+    for iv in interval_table(m):
+        grid[iv.left][iv.right] = iv
+    return tuple(map(tuple, grid))
+
+
 def table_interval(m: int, left: int, right: int) -> Interval:
     """The interval [left, right] from interval_table(m); the caller
     guarantees 1 <= left <= right <= m."""
-    return interval_table(m)[_index(m, left, right)]
+    return interval_grid(m)[left][right]
 
 
 @dataclass(frozen=True)
@@ -245,8 +252,10 @@ class Profile:
     def _renamed(self, voters: dict) -> "Profile":
         """A profile that takes ownership of `voters`, this profile's
         intervals under other voter ids, and shares its endpoint counts."""
-        p = Profile._of(self.m, voters)
-        p.__dict__["_histogram"] = self._histogram
+        p = object.__new__(Profile)  # `_of` inlined: this runs per renaming
+        attrs = p.__dict__
+        attrs["m"], attrs["voters"], attrs["n"] = self.m, voters, self.n
+        attrs["_histogram"] = self._histogram
         return p
 
     def to_json(self) -> dict:
@@ -359,10 +368,9 @@ def require_disjoint(p1: Profile, p2: Profile) -> None:
 
 def combine(p1: Profile, p2: Profile) -> Profile:
     """Voter-disjoint union of two profiles over the same alternatives."""
-    require_disjoint(p1, p2)
-    merged = dict(p1.voters)
-    merged.update(p2.voters)
-    return Profile._of(p1.m, merged)
+    if p1.m != p2.m or not p1.voters.keys().isdisjoint(p2.voters):
+        require_disjoint(p1, p2)
+    return Profile._of(p1.m, p1.voters | p2.voters)
 
 
 def _copies(p: Profile, avoid_ids: Iterable[VoterId]) -> Iterator[dict]:

@@ -17,6 +17,8 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import product, starmap
 from typing import Callable, Iterable, Iterator, Optional
 
 from .core import (
@@ -265,6 +267,8 @@ def _profile_dependent_alpha_winner(p: Profile) -> int:
 
 def _constant(m: int, winner=1) -> RuleFn:
     target = int(winner)
+    if not 1 <= target <= m:
+        raise VotingError(f"fixture parameter winner must be in 1..{m}, got {target}")
     return RuleFn(m, lambda p: target, name=f"constant-x{target}")
 
 
@@ -359,8 +363,7 @@ def _disjoint_pairs(m: int, total_max: int) -> Iterator[tuple[Profile, Profile]]
             # the budget refuses the same size here as in nested streams
             seconds = tuple(_profiles(m, n2, first_id=n1 + 1))
             for p1 in _profiles(m, n1):
-                for p2 in seconds:
-                    yield p1, p2
+                yield from product((p1,), seconds)
 
 
 def _renamings(m: int, n_max: int) -> Iterator[tuple[Profile, dict]]:
@@ -376,65 +379,60 @@ def _renamings(m: int, n_max: int) -> Iterator[tuple[Profile, dict]]:
         ids = range(1, n + 1)
         mappings = [dict(zip(ids, perm)) for perm in itertools.permutations(ids)]
         for p in _profiles(m, n):
-            for mapping in mappings:
-                yield p, mapping
+            yield from product((p,), mappings)
 
 
-def _voters(m: int, n_max: int) -> Iterator[tuple[Profile, VoterId]]:
+def _voters(m: int, n_max: int, *choices: tuple) -> Iterator[tuple]:
+    """Every (profile, voter, *choice) with the voters of each profile
+    in str order, and every combination of `choices` per voter."""
     for n in range(1, n_max + 1):
         order = sorted(range(1, n + 1), key=str)
         for p in _profiles(m, n):
-            for voter in order:
-                yield p, voter
+            yield from product((p,), order, *choices)
 
 
 def _interval_changes(m: int, n_max: int) -> Iterator[tuple[Profile, VoterId, Interval]]:
-    intervals = interval_table(m)
-    for p, voter in _voters(m, n_max):
-        for new_iv in intervals:
-            yield p, voter, new_iv
+    return _voters(m, n_max, interval_table(m))
 
 
 # Each axiom's exhaustive instance stream, one checker result per
-# instance, in canonical order.  The streams name their checker inside
-# the generator, so it is looked up when the campaign runs, not bound
-# when this module is imported.
+# instance, in canonical order.  Each stream binds its checker when the
+# campaign starts, not when this module is imported, so a checker
+# patched over the module attribute beforehand sees every instance.
 AXIOMS: dict[str, Callable[[RuleFn, SearchBounds], Iterator[CheckResult]]] = {
-    "robustness": lambda f, b: (
-        check_robustness(f, p) for p in _identified_profiles(f.m, b.n_max)
+    "robustness": lambda f, b: map(
+        partial(check_robustness, f), _identified_profiles(f.m, b.n_max)
     ),
-    "reinforcement": lambda f, b: (
-        check_reinforcement(f, p1, p2)
-        for p1, p2 in _disjoint_pairs(f.m, b.pair_budget)
+    "reinforcement": lambda f, b: starmap(
+        partial(check_reinforcement, f), _disjoint_pairs(f.m, b.pair_budget)
     ),
     "unanimity": lambda f, b: (
         check_unanimity(f, j, b.n_max) for j in range(1, f.m + 1)
     ),
-    "anonymity": lambda f, b: (
-        check_anonymity(f, p, mapping) for p, mapping in _renamings(f.m, b.n_max)
+    "anonymity": lambda f, b: starmap(
+        partial(check_anonymity, f), _renamings(f.m, b.n_max)
     ),
-    "continuity": lambda f, b: (
-        check_right_biased_continuity(f, p1, p2, lambda_max=b.lambda_max)
-        for p1, p2 in _disjoint_pairs(f.m, b.pair_budget)
+    "continuity": lambda f, b: starmap(
+        partial(check_right_biased_continuity, f, lambda_max=b.lambda_max),
+        _disjoint_pairs(f.m, b.pair_budget),
     ),
-    "strategyproofness": lambda f, b: (
-        check_strategyproofness(f, p, voter) for p, voter in _voters(f.m, b.n_max)
+    "strategyproofness": lambda f, b: starmap(
+        partial(check_strategyproofness, f), _voters(f.m, b.n_max)
     ),
-    "strong-uncompromisingness": lambda f, b: (
-        check_strong_uncompromisingness(f, p, voter, new_iv)
-        for p, voter, new_iv in _interval_changes(f.m, b.n_max)
+    "strong-uncompromisingness": lambda f, b: starmap(
+        partial(check_strong_uncompromisingness, f), _interval_changes(f.m, b.n_max)
     ),
-    "majority-criterion": lambda f, b: (
-        check_majority_criterion(f, p) for p in _identified_profiles(f.m, b.n_max)
+    "majority-criterion": lambda f, b: map(
+        partial(check_majority_criterion, f), _identified_profiles(f.m, b.n_max)
     ),
-    "strong-unanimity": lambda f, b: (
-        check_strong_unanimity(f, p) for p in _identified_profiles(f.m, b.n_max)
+    "strong-unanimity": lambda f, b: map(
+        partial(check_strong_unanimity, f), _identified_profiles(f.m, b.n_max)
     ),
-    "weak-efficiency": lambda f, b: (
-        check_weak_efficiency(f, p) for p in _identified_profiles(f.m, b.n_max)
+    "weak-efficiency": lambda f, b: map(
+        partial(check_weak_efficiency, f), _identified_profiles(f.m, b.n_max)
     ),
-    "shift-symmetry": lambda f, b: (
-        check_shift_symmetry(f, p) for p in _identified_profiles(f.m, b.n_max)
+    "shift-symmetry": lambda f, b: map(
+        partial(check_shift_symmetry, f), _identified_profiles(f.m, b.n_max)
     ),
 }
 
@@ -461,15 +459,19 @@ def falsify(f: RuleFn, axiom: str, bounds: SearchBounds) -> Campaign:
     campaign = Campaign(axiom=axiom)
     if axiom == "continuity":
         campaign.lambdas = collections.Counter()
+    by_status, lambdas = campaign.by_status, campaign.lambdas
     start = time.monotonic()
     for result in stream(f, bounds):
-        campaign.by_status[result.status] += 1
-        if result.status == SATISFIED:
-            campaign.lambdas[result.detail["lambda"]] += 1
-        elif result.status == VIOLATION:
+        status = result.status
+        by_status[status] += 1
+        if status == PASS or status == VACUOUS:
+            continue
+        if status == SATISFIED:
+            lambdas[result.detail["lambda"]] += 1
+        elif status == VIOLATION:
             campaign.violation = result.violation
             break
-        elif result.status == UNDETERMINED and campaign.first_undetermined is None:
+        elif status == UNDETERMINED and campaign.first_undetermined is None:
             campaign.first_undetermined = result.detail
     campaign.elapsed = time.monotonic() - start
     return campaign

@@ -10,12 +10,15 @@ import pytest
 from intervalvote.core import (
     Interval,
     InvalidAlternative,
+    MismatchedAlternatives,
     NoSuchVoter,
+    NotDisjoint,
     Profile,
     VotingError,
     canonical_intervals,
     combine,
     delete_endpoint,
+    interval_table,
     replicate,
 )
 from intervalvote.rules import (
@@ -47,7 +50,14 @@ from intervalvote.axioms import (
     check_weak_efficiency,
     replay_violation,
 )
-from intervalvote.search import FIXTURE_TAGS, SearchBounds, _disjoint_pairs, fixture
+from intervalvote.search import (
+    FIXTURE_TAGS,
+    SearchBounds,
+    _disjoint_pairs,
+    _identified_profiles,
+    falsify,
+    fixture,
+)
 from wsp_oracle import enumerate_wsp_with_plateau
 
 HALF = Fraction(1, 2)
@@ -687,6 +697,29 @@ def shift_symmetry_by_definition(f, p):
     )
 
 
+def reinforcement_by_definition(f, p1, p2):
+    w1, w2 = f(p1), f(p2)
+    if w1 != w2:
+        return outcome(VACUOUS)
+    w = f(Profile(p1.m, {**p1.voters, **p2.voters}))
+    if w == w1:
+        return outcome(PASS)
+    return outcome(VIOLATION, violation_json(
+        "reinforcement", w, w1, profile1=p1.to_json(), profile2=p2.to_json()
+    ))
+
+
+def anonymity_by_definition(f, p, permutation):
+    renamed = Profile(p.m, {permutation.get(v, v): iv for v, iv in p.voters.items()})
+    w1, w2 = f(p), f(renamed)
+    if w1 == w2:
+        return outcome(PASS)
+    return outcome(VIOLATION, violation_json(
+        "anonymity", w2, w1, profile=p.to_json(),
+        permutation=sorted(([k, v] for k, v in permutation.items()), key=str),
+    ))
+
+
 def continuity_by_definition(f, p1, p2, lambda_max):
     w1, w2 = f(p1), f(p2)
     case = "i" if w2 <= w1 else "ii"
@@ -793,7 +826,20 @@ def checks_and_references(f, m, n_max):
                     partial(check_strong_uncompromisingness, f, p, voter, new),
                     partial(strong_uncompromisingness_by_definition, f, p, voter, new),
                 )
+        ids = sorted(p.voters)
+        for perm in itertools.permutations(ids):
+            mapping = dict(zip(ids, perm))
+            yield (
+                (p,),
+                partial(check_anonymity, f, p, mapping),
+                partial(anonymity_by_definition, f, p, mapping),
+            )
     for p1, p2 in _disjoint_pairs(m, n_max):
+        yield (
+            (p1, p2),
+            partial(check_reinforcement, f, p1, p2),
+            partial(reinforcement_by_definition, f, p1, p2),
+        )
         yield (
             (p1, p2),
             partial(check_right_biased_continuity, f, p1, p2, lambda_max=4),
@@ -840,14 +886,76 @@ class TestRewrittenCheckersAgainstDefinition:
             assert all(q.voters == voters for q, voters in kept), inputs
 
 
+class TestFastPathsOnProfilesNotBuiltFromTheTable:
+    """Robustness and strategyproofness match derived intervals by table
+    identity; on a profile read from JSON, whose intervals are not the
+    table's objects, they give the same results after the same rule
+    calls on the same profiles."""
+
+    @pytest.mark.parametrize("m, n_max", [(3, 3), (4, 2)])
+    def test_same_results_and_rule_calls(self, m, n_max):
+        table = interval_table(m)
+        for make in REFERENCE_RULES.values():
+            f, calls = recorded(make(m))
+            for p in _identified_profiles(m, n_max):
+                q = Profile.from_json(p.to_json())
+                assert not any(iv is t for iv in q.voters.values() for t in table)
+                checks = [partial(check_robustness, f)] + [
+                    partial(check_strategyproofness, f, voter=v) for v in sorted(p.voters)
+                ]
+                for check in checks:
+                    runs = []
+                    for profile in (p, q):
+                        calls.clear()
+                        runs.append((found(check(profile)), [list(c.voters.items()) for c in calls]))
+                    assert runs[0] == runs[1], (f.name, p)
+
+
+class TestContinuitySharesItsSatisfiedResults:
+    def test_detail_is_read_only(self):
+        p1, p2 = Profile(3, {1: Interval(1, 1)}), Profile(3, {2: Interval(3, 3)})
+        result = check_right_biased_continuity(em(3), p1, p2, lambda_max=5)
+        assert result.status == SATISFIED
+        with pytest.raises(TypeError):
+            result.detail["lambda"] = 7
+        assert check_right_biased_continuity(em(3), p1, p2, lambda_max=5) is result
+
+    @pytest.mark.parametrize("tag", ["em", "skewed", "log-parity", "even-voter-doubled"])
+    def test_lambda_histogram_is_the_count_of_each_lambda(self, tag):
+        f = REFERENCE_RULES[tag](3)
+        bounds = SearchBounds(pair_budget=3, lambda_max=6)
+        expected = collections.Counter()
+        for p1, p2 in _disjoint_pairs(3, bounds.pair_budget):
+            status, _, detail = continuity_by_definition(f, p1, p2, bounds.lambda_max)
+            if status == SATISFIED:
+                expected[str(detail["lambda"])] += 1
+        for _ in range(2):  # a second campaign reuses the shared results
+            histogram = falsify(f, "continuity", bounds).to_json()["lambda_histogram"]
+            assert histogram == dict(sorted(expected.items(), key=lambda kv: int(kv[0])))
+
+
 class TestPublicCheckersValidateTheirArguments:
     p = Profile(3, {1: Interval(1, 1), 2: Interval(3, 3)})
 
     def test_unknown_voter(self):
-        with pytest.raises(NoSuchVoter):
+        with pytest.raises(NoSuchVoter, match="^no voter 7$"):
             check_strategyproofness(em(3), self.p, 7)
-        with pytest.raises(NoSuchVoter):
+        with pytest.raises(NoSuchVoter, match="^no voter 7$"):
             check_strong_uncompromisingness(em(3), self.p, 7, Interval(1, 2))
+        with pytest.raises(NoSuchVoter, match="^no voter '1'$"):
+            check_strategyproofness(em(3), self.p, "1")
+
+    @pytest.mark.parametrize(
+        "run",
+        [lambda p1, p2: check_right_biased_continuity(em(p1.m), p1, p2, 3), combine],
+        ids=["continuity", "combine"],
+    )
+    def test_pairs_over_other_alternatives_or_with_shared_ids(self, run):
+        p = Profile(3, {1: Interval(1, 1), "a": Interval(2, 3)})
+        with pytest.raises(NotDisjoint, match=r"^shared voter ids: \['1', 'a'\]$"):
+            run(p, Profile(3, {"a": Interval(3, 3), 1: Interval(1, 2), 5: Interval(2, 2)}))
+        with pytest.raises(MismatchedAlternatives, match="^m mismatch: 3 vs 4$"):
+            run(p, Profile(4, {2: Interval(4, 4)}))
 
     @pytest.mark.parametrize(
         "check, bounds",
@@ -873,5 +981,7 @@ class TestPublicCheckersValidateTheirArguments:
     def test_new_interval_beyond_m_even_where_no_clause_applies(self):
         # winner x_2 lies right of voter 1's {x_1}; [1, 9] would keep its
         # right end right of the winner, so no clause applies
-        with pytest.raises(InvalidAlternative, match="exceeds m=3"):
+        with pytest.raises(InvalidAlternative, match=r"^interval \(1, 9\) exceeds m=3$"):
             check_strong_uncompromisingness(em(3), self.p, 1, Interval(1, 9))
+        with pytest.raises(InvalidAlternative, match=r"^interval \(4, 4\) exceeds m=3$"):
+            check_strong_uncompromisingness(em(3), self.p, 2, Interval(4, 4))

@@ -434,6 +434,25 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert f"error: {message}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("constant:winner=2,winner=3", "fixture parameter 'winner' is given twice"),
+            ("constant:", "bad fixture parameter ''"),
+            ("constant:winner=7", "fixture parameter winner must be in 1..3, got 7"),
+            ("constant:winner=0", "fixture parameter winner must be in 1..3, got 0"),
+            ("constant:winner=-1", "fixture parameter winner must be in 1..3, got -1"),
+        ],
+    )
+    def test_fixture_refused_when_built(self, capsys, spec, message):
+        """A repeated key, an empty parameter list and a constant winner
+        outside 1..m are refused before any instance is checked."""
+        code = main(["audit", "--fixture", spec, "--m", "3", "--axiom", "unanimity"])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("spec, key", [("constant:winer=3", "winer"), ("log-parity:x=1", "x")])
     def test_fixture_parameter_it_does_not_take(self, capsys, spec, key):
         code = main(["falsify", "--fixture", spec, "--m", "3", "--axioms", "unanimity"])
@@ -625,6 +644,19 @@ class TestAudit:
         assert code == EXIT_OK
         assert json.loads(out)["violation"] is None
 
+    def test_report_names_the_rule(self, capsys, em_rule):
+        code, out = run(
+            capsys, "audit", "--rule", em_rule, "--axiom", "unanimity", "--n-max", "1"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["rule"] == em_rule
+        code, out = run(
+            capsys, "audit", "--fixture", "constant:winner=2", "--m", "3",
+            "--axiom", "unanimity", "--n-max", "1",
+        )
+        assert code == EXIT_VIOLATION
+        assert json.loads(out)["rule"] == "constant-x2"
+
     def test_fixture_violation_and_replay(self, capsys, tmp_path):
         code, out = run(
             capsys,
@@ -770,6 +802,16 @@ class TestFalsifyCommand:
         )
         assert code == EXIT_PARSE
         assert out == ""
+
+    @pytest.mark.parametrize("axioms", ["", "robustness,"])
+    def test_empty_axiom_tag_rejected(self, capsys, axioms):
+        """Only an absent --axioms means every axiom; an empty tag is an
+        unknown one, whether it stands alone or after a comma."""
+        code = main(["falsify", "--fixture", "constant", "--m", "3", "--axioms", axioms])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown axiom ''; choose from")
 
     def test_repeated_axiom_rejected_before_any_campaign(self, capsys, monkeypatch):
         # one scorecard entry per tag: a repeat would run its campaign twice

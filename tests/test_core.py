@@ -23,11 +23,14 @@ from intervalvote.core import (
     canonical_intervals,
     combine,
     delete_endpoint,
+    interval_grid,
+    interval_table,
     parse_rational,
     render_rational,
     replicate,
     replications,
     robust_step,
+    table_interval,
 )
 from intervalvote.axioms import RuleFn, check_anonymity, check_shift_symmetry
 from intervalvote.rules import endpoint_median_rule
@@ -108,6 +111,16 @@ class TestCanonicalOrder:
             Interval(1, 1), Interval(1, 2), Interval(1, 3),
             Interval(2, 2), Interval(2, 3), Interval(3, 3),
         ]
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_grid_holds_the_table_objects(self, m):
+        table = interval_table(m)
+        grid = interval_grid(m)
+        for l in range(1, m + 1):
+            for r in range(l, m + 1):
+                iv = table[canonical_index(m, Interval(l, r))]
+                assert grid[l][r] is iv and table_interval(m, l, r) is iv
+        assert sum(iv is not None for row in grid for iv in row) == len(table)
 
     @given(st.integers(2, 8))
     def test_index_is_bijective(self, m):

@@ -17,6 +17,7 @@ from intervalvote.core import (
     Profile,
     VotingError,
     anonymize,
+    canonical_intervals,
     interval_table,
 )
 from intervalvote.rules import (
@@ -388,6 +389,85 @@ class TestAxiomRegistry:
             assert campaign.violation is None, f.name
             undetermined += campaign.undetermined
         assert undetermined > 0  # the strict-threshold fixture is caught
+
+
+def reference_instances(axiom, m, bounds):
+    """The checker arguments, after the rule, of every instance of
+    `axiom`'s campaign, by nested loops over test-local profiles given
+    as their (voter, interval) items."""
+
+    def profiles(n, first_id=1):
+        for ballots in itertools.combinations_with_replacement(canonical_intervals(m), n):
+            yield list(enumerate(ballots, first_id))
+
+    singles = [q for n in range(1, bounds.n_max + 1) for q in profiles(n)]
+    total = bounds.pair_budget
+    pairs = [
+        (q1, q2)
+        for n1 in range(1, total)
+        for n2 in range(1, total - n1 + 1)
+        for q1 in profiles(n1)
+        for q2 in profiles(n2, first_id=n1 + 1)
+    ]
+
+    def voters(q):
+        return sorted((v for v, _ in q), key=str)
+
+    return {
+        "robustness": [(q,) for q in singles],
+        "reinforcement": pairs,
+        "unanimity": [(j, bounds.n_max) for j in range(1, m + 1)],
+        "anonymity": [
+            (q, dict(zip(voters(q), perm)))
+            for q in singles
+            for perm in itertools.permutations(voters(q))
+        ],
+        "continuity": pairs,
+        "strategyproofness": [(q, v) for q in singles for v in voters(q)],
+        "strong-uncompromisingness": [
+            (q, v, iv) for q in singles for v in voters(q) for iv in canonical_intervals(m)
+        ],
+        "majority-criterion": [(q,) for q in singles],
+        "strong-unanimity": [(q,) for q in singles],
+        "weak-efficiency": [(q,) for q in singles],
+        "shift-symmetry": [(q,) for q in singles],
+    }[axiom]
+
+
+class TestInstanceStreams:
+    @pytest.mark.parametrize(
+        "m, n_max, pair_budget", [(2, 3, 4), (3, 1, 2), (3, 3, 4), (4, 2, 3), (4, 3, 4)]
+    )
+    def test_checker_arguments_match_nested_loops(self, monkeypatch, m, n_max, pair_budget):
+        """Every campaign hands its checker, patched over `search`'s
+        attribute before the campaign starts, the rule and then the
+        reference's arguments, in the reference's order."""
+        bounds = SearchBounds(n_max=n_max, pair_budget=pair_budget, lambda_max=7)
+        seen = []
+
+        def recording(name):
+            def checker(f, *args, **kwargs):
+                args = tuple(list(a.voters.items()) if isinstance(a, Profile) else a for a in args)
+                seen.append((name, f, args, kwargs))
+                return PASSED
+
+            return checker
+
+        for name in vars(search):
+            if name.startswith("check_") and name != "check_compatible":
+                monkeypatch.setattr(search, name, recording(name))
+        f = fixture("constant", m)
+        for axiom in AXIOM_TAGS:
+            seen.clear()
+            campaign = falsify(f, axiom, bounds)
+            expected = reference_instances(axiom, m, bounds)
+            assert campaign.checked == len(seen) == len(expected), axiom
+            checker = "check_" + {"continuity": "right_biased_continuity"}.get(axiom, axiom)
+            assert {(name, g) for name, g, _, _ in seen} == {(checker.replace("-", "_"), f)}
+            kwargs = {"lambda_max": 7} if axiom == "continuity" else {}
+            assert [(args, kw) for _, _, args, kw in seen] == [
+                (args, kwargs) for args in expected
+            ], axiom
 
 
 class TestSharedResults:
