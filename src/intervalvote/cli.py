@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -49,21 +50,32 @@ EXIT_UNDETERMINED = 4
 EXIT_BUDGET = 5
 
 
-def _emit(data, pretty: bool) -> None:
-    if isinstance(data, str):
+# built once: `json.dumps` builds an encoder per call
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_PRETTY = json.JSONEncoder(sort_keys=True, indent=2)
+
+
+def _emit(data, pretty: bool) -> bool:
+    """Print `data` as one JSON document (a string as it is); False when
+    stdout is closed, after which output goes to os.devnull."""
+    if not isinstance(data, str):
+        data = (_PRETTY if pretty else _COMPACT).encode(data)
+    try:
         print(data)
-        return
-    if pretty:
-        print(json.dumps(data, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(data, sort_keys=True, separators=(",", ":")))
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+    return True
 
 
 def _load_json(path: str):
+    """The UTF-8 JSON document in the file at `path`."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            return json.loads(fh.read().decode())
+    # ValueError covers bad JSON, a byte-order mark and invalid UTF-8
+    except (OSError, ValueError, RecursionError) as exc:
         raise VotingError(f"cannot read {path}: {exc}") from exc
 
 
@@ -181,12 +193,13 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    if not (args.axiom or args.replay):
+    # only an absent flag is missing; '' names a tag or a path
+    if args.axiom is None and args.replay is None:
         raise VotingError("one of --axiom or --replay is required")
-    if args.axiom and args.replay:
+    if args.axiom is not None and args.replay is not None:
         raise VotingError("use one of --axiom or --replay, not both")
     f = _load_rule_fn(args, m=args.m)
-    if args.replay:
+    if args.replay is not None:
         violation = _load_json(args.replay)
         reproduced = replay_violation(f, violation)
         _emit({"replayed": reproduced, "axiom": violation.get("axiom")}, args.pretty)
@@ -247,7 +260,8 @@ def cmd_enumerate(args) -> int:
         _emit({"m": args.m, "n": args.n, "count": profile_count(args.m, args.n)}, args.pretty)
         return EXIT_OK
     for anon in enumerate_profiles(args.m, args.n):
-        _emit({"counts": list(anon.counts)}, args.pretty)
+        if not _emit({"counts": list(anon.counts)}, args.pretty):
+            break
     return EXIT_OK
 
 

@@ -10,7 +10,6 @@ evaluation.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -51,22 +50,31 @@ class TooLarge(VotingError):
     """An enumeration or search would exceed its size guard or budget."""
 
 
-@contextmanager
-def decoding(what: str) -> Iterator[None]:
+class decoding:
     """Report malformed input read inside the block as a VotingError.
 
     A KeyError, TypeError or ValueError raised while `what` is decoded
     means its JSON has the wrong shape; a VotingError passes through
-    unchanged.
+    unchanged.  A class rather than a generator-based context manager,
+    since every rule, profile and violation decode enters one.
     """
-    try:
-        yield
-    except VotingError:
-        raise
-    except KeyError as exc:
-        raise VotingError(f"malformed {what}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise VotingError(f"malformed {what}: {exc}") from exc
+
+    __slots__ = ("what",)
+
+    def __init__(self, what: str):
+        self.what = what
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        if kind is None or issubclass(kind, VotingError):
+            return False
+        if issubclass(kind, KeyError):
+            raise VotingError(f"malformed {self.what}: missing field {exc}") from exc
+        if issubclass(kind, (TypeError, ValueError)):
+            raise VotingError(f"malformed {self.what}: {exc}") from exc
+        return False
 
 
 def json_int(value) -> int:
@@ -82,11 +90,15 @@ def json_int(value) -> int:
 
 def parse_rational(s) -> Fraction:
     """Parse a rational from a "p/q" string (or plain integer string)."""
-    if isinstance(s, Fraction):
-        return s
-    if isinstance(s, int) and not isinstance(s, bool):
-        return Fraction(s)
-    num, slash, den = str(s).strip().partition("/")
+    text = s
+    if type(s) is not str:
+        if isinstance(s, Fraction):
+            return s
+        if isinstance(s, int) and not isinstance(s, bool):
+            return Fraction(s)
+        text = str(s)
+    # int() ignores the whitespace around each part
+    num, slash, den = text.partition("/")
     try:
         p, q = int(num), int(den) if slash else 1
     except ValueError:
@@ -386,11 +398,14 @@ def _copies(p: Profile, avoid_ids: Iterable[VoterId]) -> Iterator[dict]:
     digits after its last "#" name the copy.
     """
     ids = [*p.voters, *avoid_ids]
-    bound = max((abs(v) for v in ids if isinstance(v, int)), default=0)
-    stride = 2 * (bound + 1)
+    stride = 2 * (max([abs(v) for v in ids if isinstance(v, int)], default=0) + 1)
+    strs = [v for v in ids if isinstance(v, str)]
     sep = "#"
-    while any(sep in v for v in ids if isinstance(v, str)):
-        sep += "#"
+    if strs:
+        # no run of "#" spans the NUL that joins two ids
+        joined = "\0".join(strs)
+        while sep in joined:
+            sep += "#"
     for k in itertools.count(1):
         offset = k * stride
         yield {

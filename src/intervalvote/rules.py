@@ -58,7 +58,7 @@ class NotSingletonDomain(VotingError):
 
 
 def _as_fractions(values, m: int, name: str) -> tuple[Fraction, ...]:
-    vec = tuple(parse_rational(v) for v in values)
+    vec = tuple(map(parse_rational, values))
     if len(vec) != m:
         raise VotingError(f"{name} must have length m={m}, got {len(vec)}")
     return vec

@@ -124,8 +124,12 @@ def _profiles(m: int, n: int, first_id: int = 1) -> Iterator[Profile]:
         raise TooLarge(
             f"enumeration of {count} profiles exceeds budget {budget}"
         )
+    new = object.__new__
     for ballots in itertools.combinations_with_replacement(interval_table(m), n):
-        yield Profile._of(m, dict(enumerate(ballots, first_id)))
+        p = new(Profile)  # `Profile._of` inlined: this runs per profile
+        attrs = p.__dict__
+        attrs["m"], attrs["voters"], attrs["n"] = m, dict(enumerate(ballots, first_id)), n
+        yield p
 
 
 def enumerate_profiles(m: int, n: int) -> Iterator[AnonProfile]:
@@ -349,8 +353,10 @@ class Campaign:
 
 
 def _identified_profiles(m: int, n_max: int) -> Iterator[Profile]:
-    for n in range(1, n_max + 1):
-        yield from _profiles(m, n)
+    """`_profiles(m, n)` for n = 1..n_max, in turn and lazily."""
+    return itertools.chain.from_iterable(
+        map(_profiles, itertools.repeat(m), range(1, n_max + 1))
+    )
 
 
 def _disjoint_pairs(m: int, total_max: int) -> Iterator[tuple[Profile, Profile]]:

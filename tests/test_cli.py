@@ -1,10 +1,16 @@
 """Command-line surface: JSON output, exit codes, witness replay."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from intervalvote import cli
 from intervalvote.cli import (
+    _emit,
     EXIT_BUDGET,
     EXIT_INCOMPATIBLE,
     EXIT_OK,
@@ -158,6 +164,35 @@ class TestMalformedInput:
         assert code == EXIT_PARSE
         assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+            (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+            (b"\xef\xbb\xbf{}", "Unexpected UTF-8 BOM"),
+        ],
+        ids=["not-utf8", "too-deep", "byte-order-mark"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compat", "--rule"],
+            ["winner", "--fixture", "constant", "--profile"],
+            ["audit", "--fixture", "constant", "--m", "3", "--replay"],
+        ],
+        ids=["rule", "profile", "violation"],
+    )
+    def test_undecodable_file(self, capsys, tmp_path, argv, content, reason):
+        """Input files are UTF-8 JSON; anything else is a parse failure."""
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        code = main([*argv, str(path)])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: ")
+        assert reason in captured.err
+
     def test_profile_without_voters(self, capsys, files, em_rule):
         profile = files("p.json", {"m": 4})
         code = main(["winner", "--rule", em_rule, "--profile", profile])
@@ -267,6 +302,20 @@ class TestMalformedInput:
             "witness": {
                 "profile": {"m": 4, "voters": [{"id": 1, "interval": [1, 2]}]},
                 "permutation": [[1, [2]]],
+            },
+        })
+        code = main(["audit", "--rule", em_rule, "--replay", witness])
+        assert code == EXIT_PARSE
+        assert "error: malformed violation: unhashable type" in capsys.readouterr().err
+
+    def test_replay_unhashable_uncompromisingness_voter(self, capsys, files, em_rule):
+        # refused while the witness is decoded, not by the checker later
+        witness = files("w.json", {
+            "axiom": "strong-uncompromisingness",
+            "witness": {
+                "profile": {"m": 4, "voters": [{"id": 1, "interval": [1, 2]}]},
+                "voter": [1],
+                "new_interval": [1, 3],
             },
         })
         code = main(["audit", "--rule", em_rule, "--replay", witness])
@@ -725,6 +774,23 @@ class TestAudit:
         assert captured.out == ""
         assert captured.err == "error: use one of --axiom or --replay, not both\n"
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["--axiom", ""], "error: unknown axiom ''; choose from"),
+            (["--replay", ""], "error: cannot read : [Errno 2]"),
+            (["--axiom", "", "--replay", ""], "error: use one of --axiom or --replay, not both\n"),
+        ],
+    )
+    def test_empty_axiom_or_replay_is_given(self, capsys, argv, err):
+        """Only an absent --axiom or --replay is missing; an empty one is
+        an unknown tag or an unreadable path."""
+        code = main(["audit", "--fixture", "constant", "--m", "3", *argv])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(err)
+
     @pytest.mark.parametrize("axiom", ["reinforcement", "continuity"])
     @pytest.mark.parametrize("budget, count", [(5, 6), (20, 21), (50, 56)])
     def test_pair_campaign_over_budget(self, capsys, files, monkeypatch, axiom, budget, count):
@@ -956,3 +1022,102 @@ class TestEnumerate:
         monkeypatch.setenv("INTERVAL_VOTE_BUDGET", "10")
         code, _ = run(capsys, "enumerate", "--m", "4", "--n", "4")
         assert code == EXIT_BUDGET
+
+
+
+INCOMPATIBLE_RULE = {"m": 3, "theta": ["1/2"] * 3, "alpha": ["3/4", "1/4", "1/4"]}
+
+
+class TestEmit:
+    """`_emit` reuses two encoders; its bytes are those of `json.dumps`."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "--fixture", "constant", "--m", "3", "--axiom", "unanimity"],
+            ["falsify", "--fixture", "constant", "--m", "2", "--axioms", "unanimity,anonymity"],
+            ["witness", "--kind", "compat", "--rule", "RULE"],
+        ],
+        ids=["campaign-report", "scorecard", "violation"],
+    )
+    def test_bytes_equal_json_dumps(self, capsys, files, argv):
+        rule = files("r.json", INCOMPATIBLE_RULE)
+        main([rule if a == "RULE" else a for a in argv])
+        data = json.loads(capsys.readouterr().out)
+        assert "witness" in json.dumps(data)  # a nested violation
+        assert _emit(data, False) is True
+        assert capsys.readouterr().out == (
+            json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+        )
+        assert _emit(data, True) is True
+        assert capsys.readouterr().out == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+    def test_string_printed_as_it_is(self, capsys):
+        assert _emit("none", True) is True
+        assert capsys.readouterr().out == "none\n"
+
+def _env():
+    """The environment of a command run from the package under test, with
+    stdout block-buffered as it is by default on a pipe."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+class TestClosedStdout:
+    """A reader that has gone away is no error of the command: it keeps
+    its own exit code and prints no traceback."""
+
+    def run_closed(self, tmp_path, *argv):
+        rule = tmp_path / "rule.json"
+        rule.write_text(json.dumps(INCOMPATIBLE_RULE))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the command writes
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "intervalvote.cli",
+                 *(str(rule) if a == "RULE" else a for a in argv)],
+                stdout=write_end, stderr=subprocess.PIPE, env=_env(), timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        return proc.returncode, proc.stderr.decode()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # incompatible at index 1, so robustness fails
+            (["audit", "--rule", "RULE", "--unchecked", "--axiom", "robustness"], EXIT_VIOLATION),
+            (["compat", "--rule", "RULE"], EXIT_VIOLATION),
+            (["witness", "--rule", "RULE", "--kind", "theorem2"], EXIT_OK),
+            (["enumerate", "--m", "4", "--n", "3"], EXIT_OK),
+        ],
+    )
+    def test_exit_code_kept(self, tmp_path, argv, code):
+        got, err = self.run_closed(tmp_path, *argv)
+        assert got == code
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    def test_compatible_rule(self, tmp_path, files):
+        rule = files("em3.json", {"m": 3, "theta": ["1/2"] * 3, "alpha": ["1/2"] * 3})
+        got, err = self.run_closed(tmp_path, "compat", "--rule", rule)
+        assert got == EXIT_OK
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    def test_enumerate_read_for_one_line(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "intervalvote.cli", "enumerate", "--m", "4", "--n", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(),
+        )
+        assert json.loads(proc.stdout.readline()) == {"counts": [3] + [0] * 9}
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == EXIT_OK
+        proc.stderr.close()
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    def test_enumerate_stops_at_its_first_lost_line(self, monkeypatch):
+        lines = []
+        monkeypatch.setattr(cli, "_emit", lambda data, pretty: lines.append(data) and False)
+        assert main(["enumerate", "--m", "4", "--n", "3"]) == EXIT_OK
+        assert lines == [{"counts": [3] + [0] * 9}]

@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from intervalvote.core import (
+    _copies,
     AnonProfile,
     CannotShrink,
     Interval,
@@ -22,6 +23,7 @@ from intervalvote.core import (
     canonical_index,
     canonical_intervals,
     combine,
+    decoding,
     delete_endpoint,
     interval_grid,
     interval_table,
@@ -31,10 +33,11 @@ from intervalvote.core import (
     replications,
     robust_step,
     table_interval,
+    TooLarge,
 )
 from intervalvote.axioms import RuleFn, check_anonymity, check_shift_symmetry
 from intervalvote.rules import endpoint_median_rule
-from intervalvote.search import SearchBounds, _profiles, falsify
+from intervalvote.search import SearchBounds, _identified_profiles, _profiles, falsify
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=10**6
@@ -75,6 +78,75 @@ class TestRationals:
     def test_json_bool_and_float_rejected(self, value):
         with pytest.raises(VotingError):
             parse_rational(value)
+
+
+def slow_parse_rational(s) -> Fraction:
+    """`parse_rational` as it was written before its str fast path."""
+    if isinstance(s, Fraction):
+        return s
+    if isinstance(s, int) and not isinstance(s, bool):
+        return Fraction(s)
+    num, slash, den = str(s).strip().partition("/")
+    try:
+        p, q = int(num), int(den) if slash else 1
+    except ValueError:
+        raise VotingError(f"not an integer or 'p/q' rational: {s!r}") from None
+    if q <= 0:
+        raise VotingError(f"denominator must be positive: {s!r}")
+    return Fraction(p, q)
+
+
+def outcome(fn, value):
+    try:
+        return "value", fn(value)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+class TestParseRationalFastPath:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "1/2", " 1/2 ", "1 /2", "+1/2", "-1/2", "1/-2", "1/0", "/2", "1/", "",
+            "1.5", "\u0661/\u0662", "\t3\n", "1/2/3", " ", "x", "7",
+            3, -4, 0, True, False, Fraction(5, 7), 0.5, None, [1, 2],
+        ],
+    )
+    def test_agrees_with_the_slow_path(self, value):
+        assert outcome(parse_rational, value) == outcome(slow_parse_rational, value)
+
+    @given(st.text(alphabet=" /+-0123456789\u0661\u00a0", max_size=8))
+    def test_agrees_on_short_strings(self, text):
+        assert outcome(parse_rational, text) == outcome(slow_parse_rational, text)
+
+
+class TestDecoding:
+    def test_input_errors_become_voting_errors(self):
+        for raised, message in [
+            (KeyError("voters"), "malformed profile: missing field 'voters'"),
+            (TypeError("bad type"), "malformed profile: bad type"),
+            (ValueError("bad value"), "malformed profile: bad value"),
+        ]:
+            with pytest.raises(VotingError) as info:
+                with decoding("profile"):
+                    raise raised
+            assert type(info.value) is VotingError
+            assert str(info.value) == message
+            assert info.value.__cause__ is raised
+
+    @pytest.mark.parametrize(
+        "raised", [VotingError("x"), TooLarge("y"), NoSuchVoter("z"), AttributeError("a"), ZeroDivisionError()]
+    )
+    def test_others_pass_unchanged(self, raised):
+        with pytest.raises(type(raised)) as info:
+            with decoding("rule"):
+                raise raised
+        assert info.value is raised
+
+    def test_no_error_no_change(self):
+        with decoding("rule") as entered:
+            value = 1
+        assert entered is None and value == 1
 
 
 class TestInterval:
@@ -306,6 +378,62 @@ class TestCombineReplicate:
         assert anonymize(big).counts == tuple(k * c for c in anonymize(p).counts)
 
 
+def slow_copies(p, avoid_ids):
+    """`core._copies` as it was written before its list comprehensions."""
+    ids = [*p.voters, *avoid_ids]
+    bound = max((abs(v) for v in ids if isinstance(v, int)), default=0)
+    stride = 2 * (bound + 1)
+    sep = "#"
+    while any(sep in v for v in ids if isinstance(v, str)):
+        sep += "#"
+    for k in itertools.count(1):
+        offset = k * stride
+        yield {
+            v + offset if isinstance(v, int) else f"{v}{sep}{k}": iv
+            for v, iv in p.voters.items()
+        }
+
+
+class TestCopiesAgainstTheSlowPath:
+    @pytest.mark.parametrize(
+        "ids, avoid",
+        [
+            ([1, 2, 3], []),
+            ([-7, 2], [-30, 5]),
+            (["a", "b"], ["c"]),
+            (["a#", "#b", "a##1"], ["###"]),
+            ([1, "1", "x#2", -3], [None, "y##", 40]),
+            ([4], [None, True]),
+            (["z"], [None]),
+        ],
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_replicate_and_replications_keep_the_ids(self, ids, avoid, k):
+        p = Profile(2, {v: Interval(1, 1 + i % 2) for i, v in enumerate(ids)})
+        expected = {}
+        for copy in itertools.islice(slow_copies(p, avoid), k):
+            expected.update(copy)
+        assert list(replicate(p, k, avoid_ids=avoid).voters.items()) == list(expected.items())
+        # a profile's ids are ints or strings: None and bools are only avoided
+        kept = [v for v in avoid if type(v) in (int, str)]
+        if kept:
+            rest = Profile(2, {v: Interval(2, 2) for v in kept})
+            grown = {}
+            steps = zip(slow_copies(p, rest.voters), replications(p, rest))
+            for copy, step in itertools.islice(steps, k):
+                grown.update(copy)
+                assert list(step.voters.items()) == [*grown.items(), *rest.voters.items()]
+
+    @given(
+        st.lists(st.one_of(st.integers(-9, 9), st.text("a#1", max_size=4)), min_size=1, unique=True),
+        st.lists(st.one_of(st.none(), st.integers(-30, 30), st.text("a#12", max_size=5)), max_size=6),
+    )
+    def test_every_copy_keeps_the_ids(self, ids, avoid):
+        p = Profile(2, {v: Interval(1, 1 + i % 2) for i, v in enumerate(ids)})
+        got = itertools.islice(_copies(p, avoid), 3)
+        assert list(got) == list(itertools.islice(slow_copies(p, avoid), 3))
+
+
 def assert_trusted(q, parent):
     """A derived profile equals its validated rebuild, owns its dict and
     stores its voter count."""
@@ -367,6 +495,26 @@ class TestTrustedDerivations:
             assert q == Profile(m, dict(q.voters))
             assert q.n == n
             assert sorted(q.voters) == list(range(4, 4 + n))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_every_enumerated_profile_is_a_validated_one(self, m):
+        for n in (1, 2, 3):
+            for q in _profiles(m, n, first_id=2):
+                built = Profile(m, dict(q.voters))
+                assert type(q) is Profile and q == built
+                assert q.n == built.n == n
+                assert q._histogram is None
+
+    def test_budget_refused_at_the_first_profile(self, monkeypatch):
+        # m = 3 has 6, then 21 profiles of 1 and 2 voters
+        monkeypatch.setenv("INTERVAL_VOTE_BUDGET", "10")
+        stream = _profiles(3, 2)  # nothing is counted at the call
+        with pytest.raises(TooLarge, match="enumeration of 21 profiles exceeds budget 10"):
+            next(stream)
+        sizes = _identified_profiles(3, 2)
+        assert [q.n for q in itertools.islice(sizes, 6)] == [1] * 6
+        with pytest.raises(TooLarge, match="enumeration of 21 profiles"):
+            next(sizes)
 
     @given(profiles(), st.randoms())
     def test_anonymity_and_shift_constructions(self, p, rng):
