@@ -172,10 +172,12 @@ def cmd_compat(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    rule = _load_ptr(args)
+    if not args.rule:
+        raise VotingError("--rule is required")
+    alpha, _ = vectors_from_json(_load_json(args.rule))
     iv = Interval(args.left, args.right)
-    iv.validate(rule.m)
-    ballots = decompose_interval(rule.alpha, iv)
+    iv.validate(alpha.m)
+    ballots = decompose_interval(alpha, iv)
     _emit(
         {
             "interval": [iv.left, iv.right],
@@ -269,13 +271,11 @@ def cmd_enumerate(args) -> int:
 # argument parsing
 
 
-def _add_rule_flags(sub, fixture_allowed: bool = True) -> None:
+def _add_rule_flags(sub) -> None:
     sub.add_argument("--rule", help="rule JSON file")
-    if fixture_allowed:
-        sub.add_argument(
-            "--fixture",
-            help="fixture rule TAG[:key=value,...] instead of a rule file",
-        )
+    sub.add_argument(
+        "--fixture", help="fixture rule TAG[:key=value,...] instead of a rule file"
+    )
     sub.add_argument(
         "--unchecked",
         action="store_true",
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_compat)
 
     s = add_parser("decompose", help="split an interval into weighted singletons")
-    _add_rule_flags(s, fixture_allowed=False)
+    s.add_argument("--rule", help="rule JSON file")
     s.add_argument("--left", type=int, required=True)
     s.add_argument("--right", type=int, required=True)
     s.set_defaults(fn=cmd_decompose)

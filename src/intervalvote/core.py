@@ -13,9 +13,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
-VoterId = Union[int, str]
+VoterId = int | str
 
 
 class VotingError(ValueError):
@@ -115,7 +115,7 @@ def render_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Interval:
     """A contiguous set of alternatives {x_left, ..., x_right}."""
 
@@ -174,12 +174,6 @@ def interval_grid(m: int) -> tuple[tuple[Interval, ...], ...]:
     for iv in interval_table(m):
         grid[iv.left][iv.right] = iv
     return tuple(map(tuple, grid))
-
-
-def table_interval(m: int, left: int, right: int) -> Interval:
-    """The interval [left, right] from interval_table(m); the caller
-    guarantees 1 <= left <= right <= m."""
-    return interval_grid(m)[left][right]
 
 
 @dataclass(frozen=True)
@@ -322,7 +316,7 @@ class AnonProfile:
         object.__setattr__(self, "n", n)
 
     def items(self) -> Iterable[tuple[Interval, int]]:
-        for iv, c in zip(canonical_intervals(self.m), self.counts):
+        for iv, c in zip(interval_table(self.m), self.counts):
             if c:
                 yield iv, c
 
@@ -350,10 +344,11 @@ def delete_endpoint(p: Profile, voter: VoterId, side: str) -> Profile:
     iv = p.interval(voter)
     if iv.is_singleton():
         raise CannotShrink(f"voter {voter!r} reports a singleton interval")
+    grid = interval_grid(p.m)
     if side == "left":
-        return p._with_interval(voter, table_interval(p.m, iv.left + 1, iv.right))
+        return p._with_interval(voter, grid[iv.left + 1][iv.right])
     if side == "right":
-        return p._with_interval(voter, table_interval(p.m, iv.left, iv.right - 1))
+        return p._with_interval(voter, grid[iv.left][iv.right - 1])
     raise VotingError(f"side must be 'left' or 'right', got {side!r}")
 
 

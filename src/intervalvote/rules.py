@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .core import (
     AnonProfile,
@@ -127,10 +127,7 @@ def individual_position(alpha: WeightVector, iv: Interval, k: int) -> Fraction:
     return alpha.alpha[k - 1]
 
 
-ProfileLike = Union[Profile, AnonProfile]
-
-
-def endpoint_histogram(p: ProfileLike) -> tuple[list[int], list[int]]:
+def endpoint_histogram(p: Profile | AnonProfile) -> tuple[list[int], list[int]]:
     """lefts[k] and rights[k]: the number of voters whose left (right)
     endpoint is x_k, for k = 1..p.m (index 0 stays 0); one pass over the
     voters, or over the nonzero counts of an anonymized profile."""
@@ -146,7 +143,7 @@ def endpoint_histogram(p: ProfileLike) -> tuple[list[int], list[int]]:
     return lefts, rights
 
 
-def collective_positions(alpha: WeightVector, p: ProfileLike) -> list[Fraction]:
+def collective_positions(alpha: WeightVector, p: Profile | AnonProfile) -> list[Fraction]:
     """Pi_alpha(p, x_k) for k = 1..m from one endpoint pass, exact."""
     if alpha.m != p.m:
         raise VotingError(f"m mismatch: weights {alpha.m} vs profile {p.m}")
@@ -159,7 +156,7 @@ def collective_positions(alpha: WeightVector, p: ProfileLike) -> list[Fraction]:
     return positions
 
 
-def collective_position(alpha: WeightVector, p: ProfileLike, k: int) -> Fraction:
+def collective_position(alpha: WeightVector, p: Profile | AnonProfile, k: int) -> Fraction:
     """Sum of individual positions over all voters, exact."""
     if not (1 <= k <= alpha.m):
         raise InvalidAlternative(f"alternative {k} out of range 1..{alpha.m}")
@@ -244,7 +241,7 @@ class PositionThresholdRule:
         """
         return cls(alpha.m, theta, alpha)
 
-    def winner(self, p: ProfileLike) -> int:
+    def winner(self, p: Profile | AnonProfile) -> int:
         return ptr_winner(self, p)
 
     def to_json(self) -> dict:
@@ -279,7 +276,7 @@ def vectors_from_json(data: dict) -> tuple[WeightVector, ThresholdVector]:
         return alpha, ThresholdVector(m, tuple(data["theta"]))
 
 
-def ptr_winner(rule: PositionThresholdRule, p: ProfileLike) -> int:
+def ptr_winner(rule: PositionThresholdRule, p: Profile | AnonProfile) -> int:
     """Smallest index whose collective position meets its scaled threshold.
     A profile's first evaluation counts its endpoints with
     `endpoint_histogram` and keeps the counts on the profile; every later
@@ -303,7 +300,7 @@ def ptr_winner(rule: PositionThresholdRule, p: ProfileLike) -> int:
     return m
 
 
-def phantom_median_winner(theta: ThresholdVector, p: ProfileLike) -> int:
+def phantom_median_winner(theta: ThresholdVector, p: Profile | AnonProfile) -> int:
     """Winner on singleton-ballot profiles via peak counts.
 
     Equals ptr_winner for any weight vector when every ballot is a
@@ -391,7 +388,7 @@ def decompose_interval(
 
 
 def collective_position_decomposed(
-    alpha: WeightVector, p: ProfileLike, k: int
+    alpha: WeightVector, p: Profile | AnonProfile, k: int
 ) -> Fraction:
     """Collective position computed through the singleton decomposition."""
     if not (1 <= k <= alpha.m):

@@ -23,19 +23,16 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .core import (
     AnonProfile,
-    Interval,
     InvalidAlternativeCount,
     Profile,
     TooLarge,
-    VoterId,
     VotingError,
     anonymize,
-    canonical_intervals,
     decoding,
     delete_endpoint,
+    interval_grid,
     interval_table,
     robust_step,
-    table_interval,
 )
 from .axioms import (
     PASS,
@@ -142,7 +139,7 @@ def random_profile(m: int, n: int, seed: int) -> Profile:
     if n < 1:
         raise VotingError(f"need at least one voter, got n={n}")
     rng = random.Random(seed)
-    options = canonical_intervals(m)
+    options = interval_table(m)
     return Profile(m, {v: rng.choice(options) for v in range(1, n + 1)})
 
 
@@ -397,10 +394,6 @@ def _voters(m: int, n_max: int, *choices: tuple) -> Iterator[tuple]:
             yield from product((p,), order, *choices)
 
 
-def _interval_changes(m: int, n_max: int) -> Iterator[tuple[Profile, VoterId, Interval]]:
-    return _voters(m, n_max, interval_table(m))
-
-
 # Each axiom's exhaustive instance stream, one checker result per
 # instance, in canonical order.  Each stream binds its checker when the
 # campaign starts, not when this module is imported, so a checker
@@ -426,7 +419,8 @@ AXIOMS: dict[str, Callable[[RuleFn, SearchBounds], Iterator[CheckResult]]] = {
         partial(check_strategyproofness, f), _voters(f.m, b.n_max)
     ),
     "strong-uncompromisingness": lambda f, b: starmap(
-        partial(check_strong_uncompromisingness, f), _interval_changes(f.m, b.n_max)
+        partial(check_strong_uncompromisingness, f),
+        _voters(f.m, b.n_max, interval_table(f.m)),
     ),
     "majority-criterion": lambda f, b: map(
         partial(check_majority_criterion, f), _identified_profiles(f.m, b.n_max)
@@ -491,9 +485,9 @@ def _blocs(m: int, *blocs: tuple[int, int, int]) -> Profile:
     """The profile in which each (count, left, right) bloc of voters
     reports [x_left, x_right], voters numbered 1, 2, ... in bloc order;
     the caller guarantees 1 <= left <= right <= m and at least one voter."""
+    grid = interval_grid(m)
     ballots = itertools.chain.from_iterable(
-        itertools.repeat(table_interval(m, left, right), count)
-        for count, left, right in blocs
+        itertools.repeat(grid[left][right], count) for count, left, right in blocs
     )
     return Profile._of(m, dict(enumerate(ballots, 1)))
 

@@ -666,7 +666,6 @@ class TestDecompose:
             "1",
             "--right",
             "3",
-            "--unchecked",
         )
         assert code == EXIT_OK
         data = json.loads(out)

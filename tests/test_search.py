@@ -163,7 +163,7 @@ class TestEnumeration:
             for voter in sorted(p.voters, key=str)
         ]
         assert [(self._ordered(p), v) for p, v in search._voters(m, n_max)] == naive
-        changes = search._interval_changes(m, n_max)
+        changes = search._voters(m, n_max, interval_table(m))
         assert [(self._ordered(p), v, iv) for p, v, iv in changes] == [
             (ordered, v, iv) for ordered, v in naive for iv in interval_table(m)
         ]
