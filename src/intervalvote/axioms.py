@@ -418,6 +418,15 @@ def replay_violation(f: RuleFn, violation: dict) -> bool:
     return replay()
 
 
+def _witness_profile(f: RuleFn, data: dict) -> Profile:
+    """The witness profile `data`, refused unless it is over the rule's
+    m, before a checker builds anything of its m's size."""
+    p = Profile.from_json(data)
+    if p.m != f.m:
+        raise VotingError(f"m mismatch: rule {f.m} vs profile {p.m}")
+    return p
+
+
 def _decode_replay(f: RuleFn, violation: dict) -> Callable[[], bool]:
     """Decode every field of a serialized violation up front and return
     the check that replays it, so that malformed input fails here rather
@@ -425,13 +434,13 @@ def _decode_replay(f: RuleFn, violation: dict) -> Callable[[], bool]:
     axiom = violation["axiom"]
     witness = violation["witness"]
     if axiom == "reinforcement":
-        p1 = Profile.from_json(witness["profile1"])
+        p1 = _witness_profile(f, witness["profile1"])
         p2 = Profile.from_json(witness["profile2"])
         require_disjoint(p1, p2)  # a pair no campaign could have built
         return lambda: check_reinforcement(f, p1, p2).status == VIOLATION
     if "profile" not in witness:
         raise VotingError(f"cannot replay {axiom!r}: witness has no profile")
-    p = Profile.from_json(witness["profile"])
+    p = _witness_profile(f, witness["profile"])
     if axiom == "robustness":
         voter, side = witness["voter"], witness["side"]
         p.interval(voter)  # an unknown or unhashable id fails while decoding

@@ -39,6 +39,7 @@ from .search import (
     fixture,
     incompatibility_witness,
     profile_count,
+    require_m_within_budget,
     theorem2_uniqueness_witness,
 )
 
@@ -213,13 +214,13 @@ def cmd_audit(args) -> int:
 
 def cmd_falsify(args) -> int:
     """Scorecard over several axioms at once."""
-    f = _load_rule_fn(args, m=args.m)
     # only an absent --axioms means all; '' names the empty tag
     tags = args.axioms.split(",") if args.axioms is not None else list(AXIOM_TAGS)
-    for i, tag in enumerate(tags):  # reject a bad tag before any campaign runs
+    for i, tag in enumerate(tags):  # reject a bad tag before any rule is built
         axiom_stream(tag)
         if tag in tags[:i]:
             raise VotingError(f"axiom {tag!r} is given twice")
+    f = _load_rule_fn(args, m=args.m)
     bounds = _bounds(args)
     campaigns = [falsify(f, tag, bounds) for tag in tags]
     card = {c.axiom: c.to_json() for c in campaigns}
@@ -242,6 +243,7 @@ def cmd_witness(args) -> int:
 
 def cmd_oracle_median(args) -> int:
     p = _load_profile(args.profile)
+    require_m_within_budget(p.m)  # before the rule's vectors of length m
     rule = endpoint_median_rule(p.m)
     via_rule = rule.winner(p)
     via_oracle = endpoint_median_oracle(p)

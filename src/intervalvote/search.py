@@ -103,6 +103,16 @@ def enumeration_budget() -> int:
     return budget
 
 
+def require_m_within_budget(m: int) -> None:
+    """Refuse an m whose m(m+1)/2 intervals exceed the enumeration
+    budget, the bound `_profiles(m, 1)` holds every sweep to, before
+    anything of size m is built."""
+    budget = enumeration_budget()
+    q = m * (m + 1) // 2
+    if q > budget:
+        raise TooLarge(f"{q} intervals at m={m} exceed budget {budget}")
+
+
 def profile_count(m: int, n: int) -> int:
     if m < 2:
         raise InvalidAlternativeCount(f"need m >= 2, got {m}")
@@ -297,6 +307,7 @@ def fixture(tag: str, m: int, params: Optional[dict] = None) -> RuleFn:
         raise VotingError(
             f"unknown fixture {tag!r}; choose from {', '.join(FIXTURE_TAGS)}"
         )
+    require_m_within_budget(m)
     with decoding(f"fixture {tag!r}"):
         return FIXTURES[tag](m, **(params or {}))
 
@@ -385,6 +396,13 @@ def _renamings(m: int, n_max: int) -> Iterator[tuple[Profile, dict]]:
             yield from product((p,), mappings)
 
 
+def _unanimity(f: RuleFn, bounds: SearchBounds) -> Iterator[CheckResult]:
+    """One all-singleton sweep per alternative; it enumerates no
+    profiles, so m is held to the budget here."""
+    require_m_within_budget(f.m)
+    return (check_unanimity(f, j, bounds.n_max) for j in range(1, f.m + 1))
+
+
 def _voters(m: int, n_max: int, *choices: tuple) -> Iterator[tuple]:
     """Every (profile, voter, *choice) with the voters of each profile
     in str order, and every combination of `choices` per voter."""
@@ -405,9 +423,7 @@ AXIOMS: dict[str, Callable[[RuleFn, SearchBounds], Iterator[CheckResult]]] = {
     "reinforcement": lambda f, b: starmap(
         partial(check_reinforcement, f), _disjoint_pairs(f.m, b.pair_budget)
     ),
-    "unanimity": lambda f, b: (
-        check_unanimity(f, j, b.n_max) for j in range(1, f.m + 1)
-    ),
+    "unanimity": _unanimity,
     "anonymity": lambda f, b: starmap(
         partial(check_anonymity, f), _renamings(f.m, b.n_max)
     ),

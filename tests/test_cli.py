@@ -995,6 +995,72 @@ class TestOracleMedian:
         assert json.loads(out)["endpoint_median"] == 3
 
 
+class TestAlternativeCountBound:
+    """An m read from a file never reaches an allocation of size m.  A
+    replayed witness over another m than the rule's is a parse error;
+    a fixture, `oracle-median` and the unanimity campaign refuse an m
+    whose m(m+1)/2 intervals exceed the enumeration budget, the bound
+    every other sweep meets at `_profiles(m, 1)`.  Each refusal is the
+    whole of stderr, so no traceback is printed."""
+
+    HUGE = 10**20
+    TOO_LARGE = f"{HUGE * (HUGE + 1) // 2} intervals at m={HUGE} exceed budget 1000000"
+
+    @staticmethod
+    def refused(capsys, argv, code, message):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def huge_profile(self, files):
+        return files("p.json", {"m": self.HUGE, "voters": [{"id": 1, "interval": [1, 1]}]})
+
+    @pytest.mark.parametrize("axiom", ["majority-criterion", "shift-symmetry", "reinforcement"])
+    def test_replayed_witness_over_another_m(self, capsys, files, axiom):
+        profile = {"m": self.HUGE, "voters": [{"id": 1, "interval": [1, 1]}]}
+        second = {"m": self.HUGE, "voters": [{"id": 2, "interval": [1, 1]}]}
+        fields = (
+            {"profile1": profile, "profile2": second}
+            if axiom == "reinforcement" else {"profile": profile}
+        )
+        witness = files("v.json", {"axiom": axiom, "witness": fields})
+        argv = ["audit", "--fixture", "constant", "--m", "3", "--replay", witness]
+        self.refused(capsys, argv, EXIT_PARSE, f"m mismatch: rule 3 vs profile {self.HUGE}")
+
+    @pytest.mark.parametrize(
+        "tag",
+        ["constant", "strict-threshold", "log-parity", "even-voter-doubled",
+         "profile-dependent-alpha"],
+    )
+    def test_fixture_at_an_m_over_the_budget(self, capsys, files, tag):
+        argv = ["winner", "--fixture", tag, "--profile", self.huge_profile(files)]
+        self.refused(capsys, argv, EXIT_BUDGET, self.TOO_LARGE)
+        argv = ["audit", "--fixture", tag, "--m", str(self.HUGE), "--axiom", "unanimity"]
+        self.refused(capsys, argv, EXIT_BUDGET, self.TOO_LARGE)
+
+    def test_oracle_median_at_an_m_over_the_budget(self, capsys, files, monkeypatch):
+        argv = ["oracle-median", "--profile", self.huge_profile(files)]
+        self.refused(capsys, argv, EXIT_BUDGET, self.TOO_LARGE)
+        # m = 3 has 6 intervals, m = 2 has 3
+        monkeypatch.setenv("INTERVAL_VOTE_BUDGET", "5")
+        profile = files("p3.json", {"m": 3, "voters": [{"id": 1, "interval": [1, 2]}]})
+        argv = ["oracle-median", "--profile", profile]
+        self.refused(capsys, argv, EXIT_BUDGET, "6 intervals at m=3 exceed budget 5")
+        profile = files("p2.json", {"m": 2, "voters": [{"id": 1, "interval": [1, 2]}]})
+        assert run(capsys, "oracle-median", "--profile", profile)[0] == EXIT_OK
+
+    def test_unanimity_at_an_m_over_the_budget(self, capsys, files, monkeypatch):
+        # the only campaign that enumerates no profiles, so no other
+        # guard holds its m
+        rule = files("em3.json", {"m": 3, "theta": ["1/2"] * 3, "alpha": ["1/2"] * 3})
+        argv = ["audit", "--rule", rule, "--axiom", "unanimity", "--n-max", "1"]
+        monkeypatch.setenv("INTERVAL_VOTE_BUDGET", "6")
+        assert run(capsys, *argv)[0] == EXIT_OK
+        monkeypatch.setenv("INTERVAL_VOTE_BUDGET", "5")
+        self.refused(capsys, argv, EXIT_BUDGET, "6 intervals at m=3 exceed budget 5")
+
+
 class TestEnumerate:
     def test_count_only(self, capsys):
         code, out = run(

@@ -1,6 +1,10 @@
 """Domain primitives: intervals, profiles, anonymization, rationals."""
 
+import gc
+import importlib
 import itertools
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -547,3 +551,27 @@ class TestTrustedDerivations:
         campaign = falsify(f, "robustness", SearchBounds(n_max=2))
         assert campaign.checked == 6 + 21
         assert validated == []
+
+
+def test_reimported_modules_are_released():
+    """A fresh import of the package, as the benchmark makes one per
+    set-up, leaves nothing that keeps an earlier import alive: no
+    process-wide cache (such as the one behind a module-level `typing`
+    alias) may hold one of the package's classes."""
+    layers = ("core", "rules", "preferences", "axioms", "search", "cli")
+    ours = lambda: [k for k in sys.modules if k.split(".")[0] == "intervalvote"]
+    saved = {k: sys.modules[k] for k in ours()}
+    classes = []
+    try:
+        for _ in range(5):
+            for name in ours():
+                del sys.modules[name]
+            for layer in layers:
+                importlib.import_module(f"intervalvote.{layer}")
+            classes.append(weakref.ref(sys.modules["intervalvote.core"].Profile))
+        gc.collect()
+        assert [ref() is not None for ref in classes] == [False] * 4 + [True]
+    finally:
+        for name in ours():
+            del sys.modules[name]
+        sys.modules.update(saved)
