@@ -15,6 +15,7 @@ from typing import Callable, Mapping, Optional
 
 from .core import (
     Interval,
+    InvalidAlternative,
     Profile,
     VoterId,
     VotingError,
@@ -181,8 +182,11 @@ def check_reinforcement(f: RuleFn, p1: Profile, p2: Profile) -> CheckResult:
 def check_unanimity(f: RuleFn, j: int, n_max: int) -> CheckResult:
     """All-singleton {x_j} electorates of size 1..n_max must elect x_j."""
     require_at_least("n_max", n_max, 1)
+    if not 1 <= j <= f.m:
+        raise InvalidAlternative(f"alternative {j} is not in 1..{f.m}")
+    iv = interval_grid(f.m)[j][j]
     for n in range(1, n_max + 1):
-        p = Profile(f.m, {v: Interval(j, j) for v in range(1, n + 1)})
+        p = Profile._of(f.m, dict.fromkeys(range(1, n + 1), iv))
         w = f(p)
         if w != j:
             return _violated("unanimity", w, j, profile=p.to_json())

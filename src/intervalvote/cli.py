@@ -2,9 +2,9 @@
 
 All structured output is JSON on stdout (rationals as "p/q" strings);
 errors go to stderr.  Exit codes: 0 success / clean sweep, 1 violation
-or disagreement found, 2 parse failure, 3 incompatible rule without
---unchecked, 4 undetermined instances, 5 an enumeration budget or a
-size guard exceeded.
+or disagreement found, 2 parse failure, 3 incompatible rule file not
+marked "unchecked": true, 4 undetermined instances, 5 an enumeration
+budget or a size guard exceeded.
 """
 
 from __future__ import annotations
@@ -103,14 +103,10 @@ def _load_rule_fn(args, m: Optional[int] = None) -> RuleFn:
     if args.rule and args.fixture:
         raise VotingError("use one of --rule or --fixture, not both")
     if args.fixture:
-        if args.unchecked:
-            raise VotingError("--unchecked applies to a --rule file, not to --fixture")
         tag, params = _parse_fixture_spec(args.fixture)
         if m is None:
             raise VotingError("--fixture requires --m")
         return fixture(tag, m, params)
-    if not args.rule:
-        raise VotingError("one of --rule or --fixture is required")
     rule = _load_ptr(args)
     if m is not None and m != rule.m:
         raise VotingError(f"--m {m} does not match the rule file's m={rule.m}")
@@ -119,11 +115,8 @@ def _load_rule_fn(args, m: Optional[int] = None) -> RuleFn:
 
 def _load_ptr(args) -> PositionThresholdRule:
     if not args.rule:
-        raise VotingError("--rule is required")
-    data = _load_json(args.rule)
-    if args.unchecked:
-        return PositionThresholdRule.make_unchecked(*vectors_from_json(data))
-    return PositionThresholdRule.from_json(data)
+        raise VotingError("one of --rule or --fixture is required")
+    return PositionThresholdRule.from_json(_load_json(args.rule))
 
 
 def _campaign_exit(campaigns: list[Campaign]) -> int:
@@ -278,11 +271,6 @@ def _add_rule_flags(sub) -> None:
     sub.add_argument(
         "--fixture", help="fixture rule TAG[:key=value,...] instead of a rule file"
     )
-    sub.add_argument(
-        "--unchecked",
-        action="store_true",
-        help="accept vector pairs that fail the compatibility test",
-    )
 
 
 def _add_campaign_flags(sub) -> None:
@@ -366,7 +354,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.fn(args)
     except IncompatibleRule as exc:
-        print(f"error: {exc} (use --unchecked to override)", file=sys.stderr)
+        print(
+            f'error: {exc} (mark the rule file "unchecked": true to override)',
+            file=sys.stderr,
+        )
         return EXIT_INCOMPATIBLE
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)

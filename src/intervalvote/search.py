@@ -398,8 +398,15 @@ def _renamings(m: int, n_max: int) -> Iterator[tuple[Profile, dict]]:
 
 def _unanimity(f: RuleFn, bounds: SearchBounds) -> Iterator[CheckResult]:
     """One all-singleton sweep per alternative; it enumerates no
-    profiles, so m is held to the budget here."""
+    profiles, so m, then the m * n_max(n_max + 1)/2 ballots of its
+    profiles, are held to the budget here."""
     require_m_within_budget(f.m)
+    budget = enumeration_budget()
+    ballots = f.m * bounds.n_max * (bounds.n_max + 1) // 2
+    if ballots > budget:
+        raise TooLarge(
+            f"unanimity campaign of {ballots} ballots exceeds budget {budget}"
+        )
     return (check_unanimity(f, j, bounds.n_max) for j in range(1, f.m + 1))
 
 

@@ -189,6 +189,19 @@ class TestUnanimity:
         assert result.status == VIOLATION
         assert result.violation.required == 2
 
+    def test_calls_the_rule_on_each_electorate_size(self):
+        f, calls = recorded(em(3))
+        assert check_unanimity(f, 2, 4).status == PASS
+        assert calls == [
+            Profile(3, {v: Interval(2, 2) for v in range(1, n + 1)}) for n in range(1, 5)
+        ]
+
+    @pytest.mark.parametrize("j", [-1, 0, 4])
+    def test_alternative_outside_1_to_m(self, j):
+        # -1 would otherwise index the grid from its end, at x_3
+        with pytest.raises(InvalidAlternative, match=rf"^alternative {j} is not in 1\.\.3$"):
+            check_unanimity(em(3), j, 2)
+
 
 class TestStrongUnanimity:
     def test_vacuous_on_empty_intersection(self):

@@ -99,27 +99,18 @@ class TestWinner:
         assert code == EXIT_PARSE
 
     def test_incompatible_requires_flag(self, capsys, files, figure_profile):
-        rule = files(
-            "inc.json",
-            {
-                "m": 4,
-                "theta": ["1/2"] * 4,
-                "alpha": ["3/4", "1/4", "1/4", "1/4"],
-            },
-        )
-        code, _ = run(
-            capsys, "winner", "--rule", rule, "--profile", figure_profile
-        )
+        # the rule file's "unchecked" field is the one switch
+        data = {"m": 4, "theta": ["1/2"] * 4, "alpha": ["3/4", "1/4", "1/4", "1/4"]}
+        rule = files("inc.json", data)
+        code = main(["winner", "--rule", rule, "--profile", figure_profile])
         assert code == EXIT_INCOMPATIBLE
-        code, out = run(
-            capsys,
-            "winner",
-            "--rule",
-            rule,
-            "--profile",
-            figure_profile,
-            "--unchecked",
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            ' (mark the rule file "unchecked": true to override)\n'
         )
+        rule = files("marked.json", {**data, "unchecked": True})
+        code, _ = run(capsys, "winner", "--rule", rule, "--profile", figure_profile)
         assert code == EXIT_OK
 
     def test_unchecked_rule_file(self, capsys, files, figure_profile):
@@ -209,7 +200,7 @@ class TestMalformedInput:
         "argv",
         [
             ["winner", "--profile"],
-            ["winner", "--unchecked", "--profile"],
+            ["decompose", "--left", "1", "--right", "1"],
             ["compat"],
             ["witness", "--kind", "compat"],
             ["audit", "--axiom", "unanimity"],
@@ -427,10 +418,17 @@ class TestMalformedInput:
         assert code == EXIT_PARSE
         assert "error: --fixture requires --m" in capsys.readouterr().err
 
-    def test_neither_rule_nor_fixture(self, capsys):
-        code = main(["audit", "--m", "3", "--axiom", "unanimity"])
-        assert code == EXIT_PARSE
-        assert "error: one of --rule or --fixture is required" in capsys.readouterr().err
+    def test_neither_rule_nor_fixture(self, capsys, figure_profile):
+        for argv in (
+            ["winner", "--profile", figure_profile],
+            ["audit", "--m", "3", "--axiom", "unanimity"],
+            ["falsify", "--m", "3", "--axioms", "unanimity"],
+        ):
+            code = main(argv)
+            assert code == EXIT_PARSE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: one of --rule or --fixture is required\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -459,16 +457,17 @@ class TestMalformedInput:
             ["winner"],
         ],
     )
-    def test_unchecked_with_fixture(self, capsys, files, argv):
-        # the flag only means something for a rule file
+    def test_unchecked_is_an_unknown_option(self, capsys, files, argv):
+        # a rule file's "unchecked" field, not a flag, marks an unchecked rule
         if argv == ["winner"]:
             profile = files("p.json", {"m": 3, "voters": [{"id": 1, "interval": [1, 1]}]})
             argv = ["winner", "--profile", profile]
-        code = main([*argv, "--fixture", "constant:winner=2", "--unchecked"])
-        assert code == EXIT_PARSE
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--fixture", "constant:winner=2", "--unchecked"])
+        assert exc.value.code == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --unchecked applies to a --rule file, not to --fixture\n"
+        assert "unrecognized arguments: --unchecked" in captured.err
 
     @pytest.mark.parametrize(
         "spec, message",
@@ -553,7 +552,7 @@ class TestMalformedInput:
     )
     def test_m_differs_from_rule_file(self, capsys, em_rule, argv):
         # the rule file has m = 4; the campaign must not run at it silently
-        code = main([*argv, "--rule", em_rule, "--unchecked", "--m", "5"])
+        code = main([*argv, "--rule", em_rule, "--m", "5"])
         assert code == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -914,13 +913,12 @@ class TestWitnessCommand:
         ],
     )
     def test_witness_replays(self, capsys, files, kind, theta, alpha, axiom):
-        rule = files("r.json", {"m": len(theta), "theta": theta, "alpha": alpha})
+        data = {"m": len(theta), "theta": theta, "alpha": alpha, "unchecked": True}
+        rule = files("r.json", data)
         code, out = run(capsys, "witness", "--rule", rule, "--kind", kind)
         assert code == EXIT_OK
         witness = files("w.json", json.loads(out))
-        code, out = run(
-            capsys, "audit", "--rule", rule, "--unchecked", "--replay", witness
-        )
+        code, out = run(capsys, "audit", "--rule", rule, "--replay", witness)
         assert code == EXIT_VIOLATION
         assert json.loads(out) == {"replayed": True, "axiom": axiom}
 
@@ -1060,6 +1058,19 @@ class TestAlternativeCountBound:
         monkeypatch.setenv("INTERVAL_VOTE_BUDGET", "5")
         self.refused(capsys, argv, EXIT_BUDGET, "6 intervals at m=3 exceed budget 5")
 
+    def test_unanimity_ballots_over_the_budget(self, capsys, files, monkeypatch):
+        # m * n_max(n_max + 1)/2 ballots: 3 * 2 * 3/2 = 9 at m = 3, n_max = 2
+        rule = files("em3.json", {"m": 3, "theta": ["1/2"] * 3, "alpha": ["1/2"] * 3})
+        argv = ["audit", "--rule", rule, "--axiom", "unanimity", "--n-max", "2"]
+        monkeypatch.setenv("INTERVAL_VOTE_BUDGET", "9")
+        assert run(capsys, *argv)[0] == EXIT_OK
+        monkeypatch.setenv("INTERVAL_VOTE_BUDGET", "8")
+        self.refused(capsys, argv, EXIT_BUDGET, "unanimity campaign of 9 ballots exceeds budget 8")
+        monkeypatch.delenv("INTERVAL_VOTE_BUDGET")
+        argv[-1] = "1000000"
+        message = "unanimity campaign of 1500001500000 ballots exceeds budget 1000000"
+        self.refused(capsys, argv, EXIT_BUDGET, message)
+
 
 class TestEnumerate:
     def test_count_only(self, capsys):
@@ -1135,7 +1146,7 @@ class TestClosedStdout:
 
     def run_closed(self, tmp_path, *argv):
         rule = tmp_path / "rule.json"
-        rule.write_text(json.dumps(INCOMPATIBLE_RULE))
+        rule.write_text(json.dumps({**INCOMPATIBLE_RULE, "unchecked": True}))
         read_end, write_end = os.pipe()
         os.close(read_end)  # closed before the command writes
         try:
@@ -1152,7 +1163,7 @@ class TestClosedStdout:
         "argv, code",
         [
             # incompatible at index 1, so robustness fails
-            (["audit", "--rule", "RULE", "--unchecked", "--axiom", "robustness"], EXIT_VIOLATION),
+            (["audit", "--rule", "RULE", "--axiom", "robustness"], EXIT_VIOLATION),
             (["compat", "--rule", "RULE"], EXIT_VIOLATION),
             (["witness", "--rule", "RULE", "--kind", "theorem2"], EXIT_OK),
             (["enumerate", "--m", "4", "--n", "3"], EXIT_OK),

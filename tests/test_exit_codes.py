@@ -10,13 +10,20 @@ and every other field), and builds the argument list and
 `INTERVAL_VOTE_BUDGET`.  The campaign bounds are 1-3 or invalid, and the
 budget is unset or at most 100, because a campaign's time grows with its
 bounds and every size guard allows what the budget allows;
-`test_cli.py` tests the refusal of larger values.
+`test_cli.py` tests the refusal of larger values.  An input that
+decoding refuses (`error: malformed ...` or `error: cannot read ...`)
+must exit 2.  `REFUSED` pins, with their exit codes, the inputs the
+command line has been made to refuse.
+
+`run_fuzz.py` runs the same generator for a given time at a fresh seed.
 """
 
 import contextlib
 import io
 import json
+import os
 
+import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
@@ -108,7 +115,7 @@ def _mutated(rng, doc):
 
 def _argv(rng, rule, profile, violation):
     if rng.randrange(2):
-        source = ["--rule", rule] + rng.choice([[], ["--unchecked"]])
+        source = ["--rule", rule]
     else:
         source = ["--fixture", rng.choice(FIXTURE_SPECS), "--m", _choice(rng, *M_VALUES)]
     bounds = [
@@ -139,6 +146,53 @@ def _argv(rng, rule, profile, violation):
     return command
 
 
+def draw_case(rng, directory) -> tuple[list[str], str | None, dict]:
+    """One mutated rule, profile and violation file, written into
+    `directory`, with the argument list and budget to run them under:
+    (argv, budget or None for unset, {name: file text})."""
+    paths, files = [], {}
+    for name, corpus in (("rule", RULES), ("profile", PROFILES), ("violation", VIOLATIONS)):
+        path = os.path.join(directory, f"{name}.json")
+        files[name] = json.dumps(_mutated(rng, rng.choice(corpus)))
+        with open(path, "w") as fh:
+            fh.write(files[name])
+        paths.append(path)
+    argv = _argv(rng, *paths)
+    return argv, _choice(rng, [None, "100"], ["1", "5", "0", "x"]), files
+
+
+def run_case(argv, budget) -> tuple[object, str]:
+    """`main(argv)` with `INTERVAL_VOTE_BUDGET` set to `budget` (unset
+    for None) and stdout discarded: (exit code, stderr).  An exception
+    that escapes `main` propagates."""
+    saved = os.environ.pop(BUDGET_ENV, None)
+    if budget is not None:
+        os.environ[BUDGET_ENV] = budget
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's exit, for --help or a bad argument list
+                code = exc.code
+    finally:
+        os.environ.pop(BUDGET_ENV, None)
+        if saved is not None:
+            os.environ[BUDGET_ENV] = saved
+    return code, err.getvalue()
+
+
+def breach(code, err: str) -> str | None:
+    """What an outcome breaks of the exit-code contract, or None."""
+    if type(code) is not int or not 0 <= code <= 5:
+        return f"exit code {code!r} is not one of 0-5"
+    if "Traceback" in err:
+        return "a traceback on stderr"
+    if err.startswith(("error: malformed ", "error: cannot read ")) and code != 2:
+        return f"a decoding refusal exits {code}, not 2"
+    return None
+
+
 @seed(20261020)
 @settings(
     max_examples=500,
@@ -147,24 +201,114 @@ def _argv(rng, rule, profile, violation):
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 @given(st.randoms(use_true_random=True))
-def test_every_outcome_is_a_documented_exit_code(tmp_path, monkeypatch, rng):
-    paths, files = [], {}
-    for name, corpus in (("rule", RULES), ("profile", PROFILES), ("violation", VIOLATIONS)):
-        path = tmp_path / f"{name}.json"
-        files[name] = json.dumps(_mutated(rng, rng.choice(corpus)))
-        path.write_text(files[name])
-        paths.append(str(path))
-    argv = _argv(rng, *paths)
-    budget = _choice(rng, [None, "100"], ["1", "5", "0", "x"])
-    if budget is None:
-        monkeypatch.delenv(BUDGET_ENV, raising=False)
-    else:
-        monkeypatch.setenv(BUDGET_ENV, budget)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's exit, for --help or a bad argument list
-            code = exc.code
-    assert type(code) is int and 0 <= code <= 5, (argv, budget, files, code)
-    assert "Traceback" not in err.getvalue(), (argv, budget, files, err.getvalue())
+def test_every_outcome_is_a_documented_exit_code(tmp_path, rng):
+    argv, budget, files = draw_case(rng, str(tmp_path))
+    code, err = run_case(argv, budget)
+    assert breach(code, err) is None, (argv, budget, files, code, err)
+
+
+VALID_RULE = json.dumps(RULES[0])
+VALID_PROFILE = json.dumps(PROFILES[0])
+HUGE_PROFILE = {"m": HUGE, "voters": [{"id": 1, "interval": [1, 1]}]}
+# (files, argv, exit code, start of stderr): the files not given are
+# VALID_RULE and VALID_PROFILE; RULE, PROFILE and VIOLATION in argv
+# name the files
+REFUSED = {
+    "rule-not-utf8": (
+        {"rule": b"\xff" + VALID_RULE.encode()}, ["compat", "--rule", "RULE"],
+        2, "error: cannot read",
+    ),
+    "profile-bom": (
+        {"profile": "\ufeff" + VALID_PROFILE}, ["oracle-median", "--profile", "PROFILE"],
+        2, "error: cannot read",
+    ),
+    "violation-too-deep": (
+        {"violation": "[" * 100_000 + "]" * 100_000},
+        ["audit", "--rule", "RULE", "--replay", "VIOLATION"],
+        2, "error: cannot read",
+    ),
+    "rule-float-m": (
+        {"rule": {**RULES[0], "m": 3.0}}, ["winner", "--rule", "RULE", "--profile", "PROFILE"],
+        2, "error: malformed rule",
+    ),
+    "profile-bool-m": (
+        {"profile": {**PROFILES[0], "m": True}}, ["oracle-median", "--profile", "PROFILE"],
+        2, "error: malformed profile",
+    ),
+    "profile-bool-endpoint": (
+        {"profile": {"m": 3, "voters": [{"id": 1, "interval": [True, 2]}]}},
+        ["winner", "--rule", "RULE", "--profile", "PROFILE"],
+        2, "error: malformed profile",
+    ),
+    "fixture-float-winner": (
+        {}, ["winner", "--fixture", "constant:winner=1.5", "--profile", "PROFILE"],
+        2, "error: malformed fixture 'constant'",
+    ),
+    "fixture-bool-winner": (
+        {}, ["audit", "--fixture", "constant:winner=true", "--m", "3", "--axiom", "unanimity"],
+        2, "error: malformed fixture 'constant'",
+    ),
+    "unchecked-not-a-boolean": (
+        {"rule": {**RULES[1], "unchecked": "true"}},
+        ["audit", "--rule", "RULE", "--axiom", "unanimity"],
+        2, "error: malformed rule: unchecked is 'true'",
+    ),
+    "repeated-axiom": (
+        {}, ["falsify", "--rule", "RULE", "--axioms", "unanimity,unanimity"],
+        2, "error: axiom 'unanimity' is given twice",
+    ),
+    "empty-axiom-tag": (
+        {}, ["falsify", "--rule", "RULE", "--axioms", "unanimity,"],
+        2, "error: unknown axiom ''",
+    ),
+    "empty-axiom": ({}, ["audit", "--rule", "RULE", "--axiom", ""], 2, "error: unknown axiom ''"),
+    "abbreviated-option": (
+        {}, ["audit", "--rule", "RULE", "--axiom", "unanimity", "--n", "2"], 2, "usage:",
+    ),
+    "abbreviated-axioms": ({}, ["falsify", "--rule", "RULE", "--axiom", "unanimity"], 2, "usage:"),
+    "fixture-parameter-without-value": (
+        {}, ["audit", "--fixture", "constant:winner", "--m", "3", "--axiom", "unanimity"],
+        2, "error: bad fixture parameter 'winner'",
+    ),
+    "fixture-parameter-twice": (
+        {}, ["audit", "--fixture", "constant:winner=1,winner=2", "--m", "3", "--axiom", "unanimity"],
+        2, "error: fixture parameter 'winner' is given twice",
+    ),
+    "fixture-unknown-parameter": (
+        {}, ["audit", "--fixture", "constant:winer=2", "--m", "3", "--axiom", "unanimity"],
+        2, "error: malformed fixture 'constant'",
+    ),
+    "fixture-unknown-tag": (
+        {}, ["audit", "--fixture", "coin-flip", "--m", "3", "--axiom", "unanimity"],
+        2, "error: unknown fixture 'coin-flip'",
+    ),
+    "replay-huge-m": (
+        {"violation": {"axiom": "majority-criterion", "witness": {"profile": HUGE_PROFILE}}},
+        ["audit", "--fixture", "constant", "--m", "3", "--replay", "VIOLATION"],
+        2, f"error: m mismatch: rule 3 vs profile {HUGE}",
+    ),
+    "oracle-median-huge-m": (
+        {"profile": HUGE_PROFILE}, ["oracle-median", "--profile", "PROFILE"],
+        5, f"error: {HUGE * (HUGE + 1) // 2} intervals at m={HUGE}",
+    ),
+    "fixture-winner-huge-m": (
+        {"profile": HUGE_PROFILE}, ["winner", "--fixture", "log-parity", "--profile", "PROFILE"],
+        5, f"error: {HUGE * (HUGE + 1) // 2} intervals at m={HUGE}",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_refused_input(tmp_path, name):
+    given_files, argv, expected, message = REFUSED[name]
+    paths = {}
+    for key, default in (("rule", VALID_RULE), ("profile", VALID_PROFILE), ("violation", "{}")):
+        content = given_files.get(key, default)
+        if isinstance(content, (dict, list)):
+            content = json.dumps(content)
+        path = tmp_path / f"{key}.json"
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        paths[key.upper()] = str(path)
+    code, err = run_case([paths.get(arg, arg) for arg in argv], None)
+    assert (code, breach(code, err)) == (expected, None), err
+    assert err.startswith(message), err
