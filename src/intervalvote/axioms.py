@@ -44,24 +44,37 @@ UNDETERMINED = "undetermined"
 
 
 def _validated(m: int, fn: Callable[[Profile], int], p: Profile) -> int:
-    """fn(p), refusing a profile over another m and a winner not in 1..m."""
+    """fn(p), refusing a profile over another m and a winner not in 1..m.
+
+    The profile keeps the winner it validated as `(fn, w)`, and a later
+    call with the same `fn` on the same profile object returns it
+    without calling `fn`, so `fn` must be deterministic and is called at
+    most once per profile object.  The m check comes first on every
+    call, and a refused winner is never kept."""
     if p.m != m:
         raise VotingError(f"m mismatch: rule {m} vs profile {p.m}")
+    kept = p._winner
+    if kept is not None and kept[0] is fn:
+        return kept[1]
     w = fn(p)
     if type(w) is not int or not 1 <= w <= m:
         raise VotingError(f"rule returned invalid winner {w}")
+    p.__dict__["_winner"] = fn, w
     return w
 
 
 class RuleFn(partial):
     """A total deterministic voting rule over `m` alternatives, named
     `name`, as a bound call: evaluating it is one C-level call.
-    `RuleFn(m, fn, name)` binds `_validated` to m and the black box fn.
+    `RuleFn(m, fn, name)` binds `_validated` to m and the black box fn,
+    which must be deterministic: it is called at most once per profile
+    object, whose winner `_validated` keeps.
     `RuleFn.from_ptr(rule, name)` binds `rules.ptr_winner` to the
     threshold rule, with no wrapper: the kernel refuses a profile over
     another m with the same message and always returns an int in 1..m.
-    It is looked up when the rule is built, so a counter patched over
-    it beforehand counts every call."""
+    It keeps no winner and runs its threshold scan on every call.  It
+    is looked up when the rule is built, so a counter patched over it
+    beforehand counts every call."""
 
     def __new__(cls, m: int, fn: Callable[[Profile], int], name: str = "rule") -> "RuleFn":
         self = partial.__new__(cls, _validated, m, fn)

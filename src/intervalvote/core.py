@@ -186,8 +186,10 @@ class Profile:
     replication, a campaign's enumeration) are built without checks, by
     `Profile._of` or, for a one-voter change, `_with_interval`.  Every
     profile stores its voter count `n` when it is built.  Its `voters`
-    is never mutated, because `rules.ptr_winner` keeps the profile's
-    endpoint counts after its first evaluation.
+    is never mutated: `rules.ptr_winner` keeps the profile's endpoint
+    counts after its first evaluation, and a black-box `axioms.RuleFn`
+    keeps its winner, so that its function, which must be
+    deterministic, is called at most once per profile object.
     """
 
     m: int
@@ -198,6 +200,10 @@ class Profile:
     # never mutated; a class default rather than a field, so building a
     # profile costs nothing and == and repr ignore it
     _histogram = None
+    # (fn, winner), stored by `axioms._validated` once it has validated
+    # the winner of the black box fn; like `_histogram`, and no derived
+    # profile inherits it
+    _winner = None
 
     def __post_init__(self):
         if self.m < 2:
@@ -257,7 +263,8 @@ class Profile:
 
     def _renamed(self, voters: dict) -> "Profile":
         """A profile that takes ownership of `voters`, this profile's
-        intervals under other voter ids, and shares its endpoint counts."""
+        intervals under other voter ids, and shares its endpoint counts
+        but not its winner, which may depend on the ids."""
         p = object.__new__(Profile)  # `_of` inlined: this runs per renaming
         attrs = p.__dict__
         attrs["m"], attrs["voters"], attrs["n"] = self.m, voters, self.n
@@ -293,8 +300,9 @@ class AnonProfile:
     m: int
     counts: tuple[int, ...]
     n: int = field(init=False, repr=False, compare=False)
-    # the endpoint counts, as for `Profile`
+    # the endpoint counts and the black-box winner, as for `Profile`
     _histogram = None
+    _winner = None
 
     def __post_init__(self):
         if self.m < 2:

@@ -122,15 +122,29 @@ def profile_count(m: int, n: int) -> int:
     return math.comb(q + n - 1, n)
 
 
-def _profiles(m: int, n: int, first_id: int = 1) -> Iterator[Profile]:
-    """Every multiset of n canonical intervals, in lexicographic index order,
-    as a profile whose voters first_id, first_id + 1, ... cast them."""
+def _require_profiles_within_budget(m: int, n: int) -> None:
+    """Refuse a sweep whose profiles of n voters over m alternatives
+    outnumber the enumeration budget."""
     budget = enumeration_budget()
     count = profile_count(m, n)
     if count > budget:
         raise TooLarge(
             f"enumeration of {count} profiles exceeds budget {budget}"
         )
+
+
+def _require_sizes_within_budget(m: int, n_max: int) -> None:
+    """Refuse a sweep over the profiles of 1..n_max voters before its
+    first instance, at the least size whose profiles outnumber the
+    budget and with the message `_profiles` gives for that size."""
+    for n in range(1, n_max + 1):
+        _require_profiles_within_budget(m, n)
+
+
+def _profiles(m: int, n: int, first_id: int = 1) -> Iterator[Profile]:
+    """Every multiset of n canonical intervals, in lexicographic index order,
+    as a profile whose voters first_id, first_id + 1, ... cast them."""
+    _require_profiles_within_budget(m, n)
     new = object.__new__
     for ballots in itertools.combinations_with_replacement(interval_table(m), n):
         p = new(Profile)  # `Profile._of` inlined: this runs per profile
@@ -361,7 +375,9 @@ class Campaign:
 
 
 def _identified_profiles(m: int, n_max: int) -> Iterator[Profile]:
-    """`_profiles(m, n)` for n = 1..n_max, in turn and lazily."""
+    """`_profiles(m, n)` for n = 1..n_max, in turn and lazily, once every
+    size is held to the budget."""
+    _require_sizes_within_budget(m, n_max)
     return itertools.chain.from_iterable(
         map(_profiles, itertools.repeat(m), range(1, n_max + 1))
     )
@@ -369,12 +385,13 @@ def _identified_profiles(m: int, n_max: int) -> Iterator[Profile]:
 
 def _disjoint_pairs(m: int, total_max: int) -> Iterator[tuple[Profile, Profile]]:
     """Every (p1, p2) with n1 + n2 <= total_max, p2's voters numbered
-    after p1's.  The profile_count(m, n2) second profiles, which the
-    budget bounds, are built once per (n1, n2) and shared by every p1."""
+    after p1's.  The profile_count(m, n2) second profiles are built once
+    per (n1, n2) and shared by every p1.  Either side has at most
+    total_max - 1 voters, and every such size is held to the budget
+    first."""
+    _require_sizes_within_budget(m, total_max - 1)
     for n1 in range(1, total_max):
         for n2 in range(1, total_max - n1 + 1):
-            # n1 = 1 meets every size below total_max as an n2 first, so
-            # the budget refuses the same size here as in nested streams
             seconds = tuple(_profiles(m, n2, first_id=n1 + 1))
             for p1 in _profiles(m, n1):
                 yield from product((p1,), seconds)
@@ -382,7 +399,8 @@ def _disjoint_pairs(m: int, total_max: int) -> Iterator[tuple[Profile, Profile]]
 
 def _renamings(m: int, n_max: int) -> Iterator[tuple[Profile, dict]]:
     """Every profile with every renaming of its ids 1..n, the n! renamings
-    built once per size n after their instance count is held to the budget."""
+    built once per size n.  The instance count of every size is held to
+    the budget before the first instance."""
     budget = enumeration_budget()
     for n in range(1, n_max + 1):
         count = profile_count(m, n) * math.factorial(n)
@@ -390,6 +408,7 @@ def _renamings(m: int, n_max: int) -> Iterator[tuple[Profile, dict]]:
             raise TooLarge(
                 f"anonymity campaign of {count} instances exceeds budget {budget}"
             )
+    for n in range(1, n_max + 1):
         ids = range(1, n + 1)
         mappings = [dict(zip(ids, perm)) for perm in itertools.permutations(ids)]
         for p in _profiles(m, n):
@@ -412,7 +431,9 @@ def _unanimity(f: RuleFn, bounds: SearchBounds) -> Iterator[CheckResult]:
 
 def _voters(m: int, n_max: int, *choices: tuple) -> Iterator[tuple]:
     """Every (profile, voter, *choice) with the voters of each profile
-    in str order, and every combination of `choices` per voter."""
+    in str order, and every combination of `choices` per voter, once
+    every size is held to the budget."""
+    _require_sizes_within_budget(m, n_max)
     for n in range(1, n_max + 1):
         order = sorted(range(1, n + 1), key=str)
         for p in _profiles(m, n):

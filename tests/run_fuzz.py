@@ -8,7 +8,7 @@ process by `cli.main`.
 Prints the seed, then every case that breaks the contract (an exception
 escaping `main`, a traceback on stderr, an exit code outside 0-5, a
 decoding refusal with a code other than 2) with its argument list,
-budget, file texts and the traceback or stderr, and a summary line.
+budget, file bytes and the traceback or stderr, and a summary line.
 Exit 0 when no case broke it, 1 otherwise.
 """
 

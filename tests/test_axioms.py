@@ -20,6 +20,7 @@ from intervalvote.core import (
     delete_endpoint,
     interval_table,
     replicate,
+    replications,
 )
 from intervalvote.rules import (
     PositionThresholdRule,
@@ -93,6 +94,79 @@ class TestRuleFn:
     def test_m_mismatch(self):
         with pytest.raises(VotingError):
             em(3)(Profile(4, {1: Interval(1, 1)}))
+
+
+class TestRememberedWinner:
+    """A black-box rule's function runs at most once per profile object:
+    the profile keeps the winner it validated, for that function only."""
+
+    @staticmethod
+    def counted(fn):
+        calls = []
+        return (lambda p: calls.append(p) or fn(p)), calls
+
+    def test_one_call_per_profile_object(self):
+        fn, calls = self.counted(lambda p: 2)
+        p = Profile(3, {1: Interval(1, 2)})
+        # two rules over one function share its winner
+        assert [RuleFn(3, fn)(p), RuleFn(3, fn, "again")(p)] == [2, 2]
+        assert list(map(id, calls)) == [id(p)]
+        # an equal profile is another object, and is evaluated afresh
+        same = Profile(3, {1: Interval(1, 2)})
+        assert same == p and RuleFn(3, fn)(same) == 2
+        assert list(map(id, calls)) == [id(p), id(same)]
+
+    def test_each_function_gets_its_own_winner(self):
+        p = Profile(3, {1: Interval(1, 2)})
+        first, second = RuleFn(3, lambda q: 1), RuleFn(3, lambda q: 3)
+        assert [first(p), second(p), first(p), second(p)] == [1, 3, 1, 3]
+
+    def test_m_is_checked_before_the_kept_winner(self):
+        fn = lambda p: 1
+        p = Profile(3, {1: Interval(1, 2)})
+        assert RuleFn(3, fn)(p) == 1
+        with pytest.raises(VotingError, match="m mismatch: rule 4 vs profile 3"):
+            RuleFn(4, fn)(p)
+
+    @pytest.mark.parametrize("w", [7, True, 1.0])
+    def test_an_invalid_winner_is_refused_on_every_call(self, w):
+        fn, calls = self.counted(lambda p: w)
+        f = RuleFn(3, fn)
+        p = Profile(3, {1: Interval(1, 2)})
+        for _ in range(2):
+            with pytest.raises(VotingError, match=f"rule returned invalid winner {w}$"):
+                f(p)
+        assert calls == [p, p]
+        assert p._winner is None
+
+    def test_no_derived_profile_inherits_the_winner(self):
+        p = Profile(3, {1: Interval(1, 2), 2: Interval(2, 3)})
+        other = Profile(3, {3: Interval(1, 1)})
+        f, calls = recorded(fixture("even-voter-doubled", 3))
+        f(p)
+        assert p._winner is not None
+        derived = [
+            p._with_interval(1, Interval(1, 1)),
+            p.with_interval(2, Interval(3, 3)),
+            delete_endpoint(p, 1, "left"),
+            p._renamed({2: p.voters[1], 1: p.voters[2]}),
+            combine(p, other),
+            replicate(p, 2),
+            next(replications(p, other)),
+        ]
+        for q in derived:
+            assert q._winner is None and "_winner" not in vars(q), q
+        # the checkers evaluate the shifted and the renamed profile of an
+        # evaluated one afresh, and the renamed one has another winner
+        apart = Profile(3, {1: Interval(1, 1), 2: Interval(3, 3)})
+        single = Profile(3, {1: Interval(1, 1)})
+        assert [f(apart), f(single)] == [3, 1]
+        calls.clear()
+        assert check_shift_symmetry(f, single).status == PASS
+        assert check_anonymity(f, apart, {1: 2, 2: 1}).status == VIOLATION
+        assert [q.voters for q in calls] == [
+            {1: Interval(2, 2)}, {2: Interval(1, 1), 1: Interval(3, 3)}
+        ]
 
 
 class TestRobustness:

@@ -801,6 +801,21 @@ class TestAudit:
             f"error: enumeration of {count} profiles exceeds budget {budget}\n"
         )
 
+    def test_over_budget_sweep_is_refused_before_a_violation(self, capsys, files, monkeypatch):
+        # this incompatible rule fails robustness on the third one-voter
+        # profile, but the sweep's 56 three-voter profiles exceed the
+        # budget, and the sweep is refused before its first instance
+        rule = files("u3.json", {
+            "m": 3, "theta": ["1/2"] * 3, "alpha": ["3/4", "1/4", "1/4"], "unchecked": True,
+        })
+        argv = ("audit", "--rule", rule, "--axiom", "robustness", "--n-max", "3")
+        assert run(capsys, *argv)[0] == EXIT_VIOLATION
+        monkeypatch.setenv("INTERVAL_VOTE_BUDGET", "50")
+        assert main(list(argv)) == EXIT_BUDGET
+        assert capsys.readouterr() == (
+            "", "error: enumeration of 56 profiles exceeds budget 50\n"
+        )
+
     def test_anonymity_renamings_over_budget(self, capsys, monkeypatch):
         # m = 2 has 15 profiles of 4 voters, each with 4! = 24 renamings;
         # 360 instances exceed the budget though 15 profiles do not

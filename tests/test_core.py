@@ -40,7 +40,15 @@ from intervalvote.core import (
 )
 from intervalvote.axioms import RuleFn, check_anonymity, check_shift_symmetry
 from intervalvote.rules import endpoint_median_rule
-from intervalvote.search import SearchBounds, _identified_profiles, _profiles, falsify
+from intervalvote.search import (
+    SearchBounds,
+    _disjoint_pairs,
+    _identified_profiles,
+    _profiles,
+    _renamings,
+    _voters,
+    falsify,
+)
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=10**6
@@ -510,14 +518,26 @@ class TestTrustedDerivations:
 
     def test_budget_refused_at_the_first_profile(self, monkeypatch):
         # m = 3 has 6, then 21 profiles of 1 and 2 voters
+        monkeypatch.setenv("INTERVAL_VOTE_BUDGET", "21")
+        assert [q.n for q in _identified_profiles(3, 2)] == [1] * 6 + [2] * 21
         monkeypatch.setenv("INTERVAL_VOTE_BUDGET", "10")
         stream = _profiles(3, 2)  # nothing is counted at the call
         with pytest.raises(TooLarge, match="enumeration of 21 profiles exceeds budget 10"):
             next(stream)
-        sizes = _identified_profiles(3, 2)
-        assert [q.n for q in itertools.islice(sizes, 6)] == [1] * 6
-        with pytest.raises(TooLarge, match="enumeration of 21 profiles"):
-            next(sizes)
+        # a sweep over several sizes is refused before its first profile,
+        # at the least size over the budget, though its 6 one-voter
+        # profiles are within it
+        for sweep in (
+            lambda: _identified_profiles(3, 4),
+            lambda: _disjoint_pairs(3, 5),
+            lambda: _voters(3, 4),
+        ):
+            with pytest.raises(TooLarge, match="enumeration of 21 profiles exceeds budget 10"):
+                next(sweep())
+        # 6 one-voter instances, then 21 * 2 = 42 renamings of two voters
+        monkeypatch.setenv("INTERVAL_VOTE_BUDGET", "41")
+        with pytest.raises(TooLarge, match="anonymity campaign of 42 instances exceeds budget 41"):
+            next(_renamings(3, 3))
 
     @given(profiles(), st.randoms())
     def test_anonymity_and_shift_constructions(self, p, rng):

@@ -6,11 +6,13 @@ prints no traceback.
 At a fixed seed and example count, Hypothesis draws a seeded
 `random.Random` per example.  It mutates valid files, replacing,
 deleting or repeating any value in their JSON (m, endpoints, voter ids
-and every other field), and builds the argument list and
-`INTERVAL_VOTE_BUDGET`.  The campaign bounds are 1-3 or invalid, and the
-budget is unset or at most 100, because a campaign's time grows with its
-bounds and every size guard allows what the budget allows;
-`test_cli.py` tests the refusal of larger values.  An input that
+and every other field), then sometimes drops, repeats or replaces one
+byte of the written text (with bytes that are not UTF-8 among the
+replacements) or puts a byte-order mark before it, and builds the
+argument list and `INTERVAL_VOTE_BUDGET`.  The campaign bounds are 1-3
+or invalid, and the budget is unset or at most 100, because a
+campaign's time grows with its bounds and every size guard allows what
+the budget allows; `test_cli.py` tests the refusal of larger values.  An input that
 decoding refuses (`error: malformed ...` or `error: cannot read ...`)
 must exit 2.  `REFUSED` pins, with their exit codes, the inputs the
 command line has been made to refuse.
@@ -18,6 +20,7 @@ command line has been made to refuse.
 `run_fuzz.py` runs the same generator for a given time at a fresh seed.
 """
 
+import codecs
 import contextlib
 import io
 import json
@@ -59,6 +62,10 @@ INT_VALUES = [0, 1, 2, 4, -1, HUGE, HUGE, True, 1.5, "3", None]
 VALUES = INT_VALUES + [
     "", "1/2", "2/3", "1/0", "x", "left", "robustness", [], [1], [2, 1], {}, {"m": 3},
 ]
+# what replaces one byte of a written file: bytes that cannot stand
+# there in UTF-8 (a continuation byte, a lead byte, two bytes never
+# used), JSON punctuation, a digit and a space
+BYTES = b"\x80\xc3\xfe\xff{}[]\",:-0 "
 FIXTURE_SPECS = [
     "constant", "constant:winner=2", "constant:winner=9", "constant:",
     "strict-threshold", "log-parity", "even-voter-doubled",
@@ -113,6 +120,23 @@ def _mutated(rng, doc):
     return doc
 
 
+def _garbled(rng, data: bytes) -> bytes:
+    """`data` unchanged four times in five, else with one byte dropped,
+    repeated or replaced by one of `BYTES`, or after a UTF-8 byte-order
+    mark."""
+    op = rng.choice(["none"] * 16 + ["drop", "repeat", "replace", "bom"])
+    if op == "bom":
+        return codecs.BOM_UTF8 + data
+    if op == "none" or not data:
+        return data
+    i = rng.randrange(len(data))
+    if op == "drop":
+        return data[:i] + data[i + 1:]
+    if op == "repeat":
+        return data[:i + 1] + data[i:]
+    return data[:i] + bytes([rng.choice(BYTES)]) + data[i + 1:]
+
+
 def _argv(rng, rule, profile, violation):
     if rng.randrange(2):
         source = ["--rule", rule]
@@ -149,12 +173,13 @@ def _argv(rng, rule, profile, violation):
 def draw_case(rng, directory) -> tuple[list[str], str | None, dict]:
     """One mutated rule, profile and violation file, written into
     `directory`, with the argument list and budget to run them under:
-    (argv, budget or None for unset, {name: file text})."""
+    (argv, budget or None for unset, {name: file bytes})."""
     paths, files = [], {}
     for name, corpus in (("rule", RULES), ("profile", PROFILES), ("violation", VIOLATIONS)):
         path = os.path.join(directory, f"{name}.json")
-        files[name] = json.dumps(_mutated(rng, rng.choice(corpus)))
-        with open(path, "w") as fh:
+        text = json.dumps(_mutated(rng, rng.choice(corpus)))
+        files[name] = _garbled(rng, text.encode())
+        with open(path, "wb") as fh:
             fh.write(files[name])
         paths.append(path)
     argv = _argv(rng, *paths)

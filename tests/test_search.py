@@ -621,6 +621,37 @@ FIXTURE_COVERAGE = {
 }
 
 
+# The fixture calls of the same campaigns, counted by wrapping each
+# fixture's function: one per profile object the campaign evaluates,
+# since a black-box rule keeps each profile's winner.  The pair
+# campaigns evaluate each first and second profile once and each
+# combination once; anonymity evaluates each profile once and each
+# renaming once.  Calling the function again on a profile it has seen,
+# or reusing a winner across distinct profile objects, changes these.
+FIXTURE_EVALUATIONS = {
+    "constant": {
+        "robustness": 75, "reinforcement": 354, "unanimity": 3, "anonymity": 75,
+        "continuity": 66,
+    },
+    "strict-threshold": {
+        "robustness": 75, "reinforcement": 176, "unanimity": 6, "anonymity": 75,
+        "continuity": 764,
+    },
+    "log-parity": {
+        "robustness": 75, "reinforcement": 10, "unanimity": 6, "anonymity": 75,
+        "continuity": 337,
+    },
+    "even-voter-doubled": {
+        "robustness": 75, "reinforcement": 170, "unanimity": 6, "anonymity": 24,
+        "continuity": 295,
+    },
+    "profile-dependent-alpha": {
+        "robustness": 75, "reinforcement": 62, "unanimity": 6, "anonymity": 75,
+        "continuity": 235,
+    },
+}
+
+
 def _count_calls(monkeypatch) -> collections.Counter:
     """Count `ptr_winner` calls, those of them on a profile that already
     holds its endpoint counts ("known"), `rules.endpoint_histogram` calls
@@ -693,6 +724,19 @@ class TestCoverageGuard:
                 by_status = {k: v for k, v in campaign.by_status.items() if v}
                 seen[tag][axiom] = (calls["ptr_winner"], calls["checker"], by_status)
         assert seen == FIXTURE_COVERAGE
+
+    def test_fixture_evaluations_are_pinned(self):
+        seen = {}
+        for tag in FIXTURE_TAGS:
+            seen[tag] = {}
+            for axiom in CHARACTERIZATION_AXIOMS:
+                f = fixture(tag, 3)
+                m, fn = f.args
+                calls = []
+                counted = RuleFn(m, lambda p, fn=fn, calls=calls: calls.append(p) or fn(p))
+                falsify(counted, axiom, COVERAGE_BOUNDS)
+                seen[tag][axiom] = len(calls)
+        assert seen == FIXTURE_EVALUATIONS
 
 
 class TestFixtures:
