@@ -8,15 +8,15 @@ apply; it is never counted as evidence for the rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping
 from functools import lru_cache, partial
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional
 
 from .core import (
     Interval,
     InvalidAlternative,
     Profile,
+    Value,
     VoterId,
     VotingError,
     combine,
@@ -88,12 +88,13 @@ class RuleFn(partial):
         return self
 
 
-@dataclass(frozen=True)
-class Violation:
-    axiom: str
-    witness: dict
-    observed: object
-    required: object
+class Violation(Value):
+    _fields = ("axiom", "witness", "observed", "required")
+
+    def __init__(self, axiom: str, witness: dict, observed: object, required: object):
+        self.__dict__.update(
+            axiom=axiom, witness=witness, observed=observed, required=required
+        )
 
     def to_json(self) -> dict:
         return {
@@ -104,8 +105,7 @@ class Violation:
         }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Value):
     """What every checker returns.  A violation lists its witnesses in
     `violations`, first witness first; checkers that scan several
     deviations of one instance (robustness, strategyproofness) list one
@@ -114,15 +114,23 @@ class CheckResult:
     A pass or vacuous pass carries nothing but its status, so it is one
     of the shared module constants `PASSED` and `VACUOUS_PASS`, and a
     clean instance allocates no result.  Their `detail` is one read-only
-    empty mapping.
+    empty mapping; a result built without a `detail` gets a fresh dict.
     """
 
-    status: str
-    violations: tuple[Violation, ...] = ()
-    detail: Mapping = field(default_factory=dict)
+    _fields = ("status", "violations", "detail")
+
+    def __init__(
+        self,
+        status: str,
+        violations: tuple[Violation, ...] = (),
+        detail: Mapping | None = None,
+    ):
+        self.__dict__.update(
+            status=status, violations=violations, detail={} if detail is None else detail
+        )
 
     @property
-    def violation(self) -> Optional[Violation]:
+    def violation(self) -> Violation | None:
         """The first witness, or None."""
         return self.violations[0] if self.violations else None
 
@@ -317,7 +325,7 @@ def check_right_biased_continuity(
 
 
 @lru_cache(maxsize=1024)
-def _satisfied(case: str, lam: int, bound: Optional[int]) -> CheckResult:
+def _satisfied(case: str, lam: int, bound: int | None) -> CheckResult:
     """The shared result of a satisfied continuity instance, with a
     read-only `detail`: case, lambda and, in case (ii), the bound."""
     detail = {"case": case, "lambda": lam}
@@ -365,7 +373,7 @@ def check_strategyproofness(f: RuleFn, p: Profile, voter: VoterId) -> CheckResul
 
 def _uncompromising_condition(
     winner: int, old: Interval, new: Interval
-) -> Optional[str]:
+) -> str | None:
     """Which invariance clause applies to this interval change, if any.
 
     The clauses cover every configuration of the old endpoints relative

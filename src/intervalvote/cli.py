@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from .core import Interval, Profile, TooLarge, VotingError, render_rational
 from .axioms import RuleFn, replay_violation
@@ -98,7 +97,7 @@ def _parse_fixture_spec(spec: str) -> tuple[str, dict]:
     return tag, params
 
 
-def _load_rule_fn(args, m: Optional[int] = None) -> RuleFn:
+def _load_rule_fn(args, m: int | None = None) -> RuleFn:
     """Resolve --rule / --fixture into a callable rule."""
     if args.rule and args.fixture:
         raise VotingError("use one of --rule or --fixture, not both")
@@ -349,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

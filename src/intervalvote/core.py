@@ -10,10 +10,9 @@ evaluation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
 
 VoterId = int | str
 
@@ -115,16 +114,51 @@ def render_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class Interval:
+class Value:
+    """A read-only value.  Two values are equal when they are of the same
+    class and have equal `_key()`s, and a value hashes by its key; both
+    read the fields named in `_fields` unless a class says otherwise.
+    `repr` shows the `_fields` in order.  Assigning or deleting an
+    attribute raises AttributeError, so an `__init__` sets its fields
+    with `object.__setattr__`, which keeps them in the instance's inline
+    values, where reads are fastest, or through the instance `__dict__`:
+    shorter, for classes read rarely, and what the builders of `Profile`
+    fill directly."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Interval(Value):
     """A contiguous set of alternatives {x_left, ..., x_right}."""
 
-    left: int
-    right: int
+    _fields = ("left", "right")
 
-    def __post_init__(self):
-        if not (1 <= self.left <= self.right):
-            raise InvalidAlternative(f"bad interval ({self.left}, {self.right})")
+    def __init__(self, left: int, right: int):
+        if not (1 <= left <= right):
+            raise InvalidAlternative(f"bad interval ({left}, {right})")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def validate(self, m: int) -> None:
         if self.right > m:
@@ -176,8 +210,7 @@ def interval_grid(m: int) -> tuple[tuple[Interval, ...], ...]:
     return tuple(map(tuple, grid))
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Value):
     """An identified interval profile: voter id -> interval.
 
     A voter id is an int or a string.  `Profile(m, voters)` and
@@ -192,9 +225,9 @@ class Profile:
     deterministic, is called at most once per profile object.
     """
 
-    m: int
-    voters: Mapping[VoterId, Interval]
-    n: int = field(init=False, repr=False, compare=False)
+    # m, voters and n are in the instance `__dict__`, which the builders
+    # below fill directly
+    _fields = ("m", "voters")
     # (lefts, rights) as `rules.endpoint_histogram` gives them, stored
     # on the instance by `rules.ptr_winner` at a first evaluation and
     # never mutated; a class default rather than a field, so building a
@@ -205,18 +238,24 @@ class Profile:
     # profile inherits it
     _winner = None
 
-    def __post_init__(self):
-        if self.m < 2:
-            raise InvalidAlternativeCount(f"need m >= 2, got {self.m}")
-        if not self.voters:
+    def __init__(self, m: int, voters: Mapping[VoterId, Interval]):
+        self.__post_init__(m, voters)
+
+    def __post_init__(self, m: int, voters: Mapping[VoterId, Interval]) -> None:
+        """The checks and the copy of `Profile(m, voters)`: a method of
+        its own, which perfbench's layer tracer wraps to count the
+        profiles that are validated."""
+        if m < 2:
+            raise InvalidAlternativeCount(f"need m >= 2, got {m}")
+        if not voters:
             raise VotingError("profile must contain at least one voter")
-        for vid, iv in self.voters.items():
+        for vid, iv in voters.items():
             if isinstance(vid, bool) or not isinstance(vid, (int, str)):
                 raise VotingError(f"voter id must be an int or a string: {vid!r}")
-            iv.validate(self.m)
-        voters = dict(self.voters)
-        object.__setattr__(self, "voters", voters)
-        object.__setattr__(self, "n", len(voters))
+            iv.validate(m)
+        voters = dict(voters)
+        attrs = self.__dict__
+        attrs["m"], attrs["voters"], attrs["n"] = m, voters, len(voters)
 
     @classmethod
     def _of(cls, m: int, voters: dict) -> "Profile":
@@ -293,35 +332,32 @@ class Profile:
             return cls(json_int(data["m"]), voters)
 
 
-@dataclass(frozen=True)
-class AnonProfile:
+class AnonProfile(Value):
     """Anonymized profile: count per canonical interval."""
 
-    m: int
-    counts: tuple[int, ...]
-    n: int = field(init=False, repr=False, compare=False)
+    _fields = ("m", "counts")
     # the endpoint counts and the black-box winner, as for `Profile`
     _histogram = None
     _winner = None
 
-    def __post_init__(self):
-        if self.m < 2:
-            raise InvalidAlternativeCount(f"need m >= 2, got {self.m}")
-        q = self.m * (self.m + 1) // 2
-        if len(self.counts) != q:
+    def __init__(self, m: int, counts: tuple[int, ...]):
+        if m < 2:
+            raise InvalidAlternativeCount(f"need m >= 2, got {m}")
+        q = m * (m + 1) // 2
+        if len(counts) != q:
             raise VotingError(
-                f"count vector has length {len(self.counts)}, expected q={q}"
+                f"count vector has length {len(counts)}, expected q={q}"
             )
         # one C-level pass: a float or a bool would reach exact winner tests
-        if not {int}.issuperset(map(type, self.counts)):
-            raise VotingError(f"counts must be integers: {tuple(self.counts)!r}")
-        if any(c < 0 for c in self.counts):
+        if not {int}.issuperset(map(type, counts)):
+            raise VotingError(f"counts must be integers: {tuple(counts)!r}")
+        if any(c < 0 for c in counts):
             raise VotingError("counts must be non-negative")
-        n = sum(self.counts)
+        n = sum(counts)
         if n < 1:
             raise VotingError("profile must contain at least one voter")
-        object.__setattr__(self, "counts", tuple(self.counts))
-        object.__setattr__(self, "n", n)
+        attrs = self.__dict__
+        attrs["m"], attrs["counts"], attrs["n"] = m, tuple(counts), n
 
     def items(self) -> Iterable[tuple[Interval, int]]:
         for iv, c in zip(interval_table(self.m), self.counts):

@@ -12,31 +12,25 @@ such order as a witness; both are computed directly here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Interval, VotingError
+from .core import Interval, Value, VotingError
 
 
-@dataclass(frozen=True)
-class WeakOrder:
+class WeakOrder(Value):
     """Complete transitive preference as an ordered partition."""
 
-    m: int
-    levels: tuple[frozenset[int], ...]
+    _fields = ("m", "levels")
 
-    def __post_init__(self):
+    def __init__(self, m: int, levels: tuple[frozenset[int], ...]):
         seen: set[int] = set()
-        for cls in self.levels:
+        for cls in levels:
             if not cls:
                 raise VotingError("indifference classes must be non-empty")
             if cls & seen:
                 raise VotingError("indifference classes must be disjoint")
             seen |= cls
-        if seen != set(range(1, self.m + 1)):
+        if seen != set(range(1, m + 1)):
             raise VotingError("classes must partition the alternatives")
-        object.__setattr__(
-            self, "levels", tuple(frozenset(c) for c in self.levels)
-        )
+        self.__dict__.update(m=m, levels=tuple(frozenset(c) for c in levels))
 
     def rank(self, a: int) -> int:
         for idx, cls in enumerate(self.levels):

@@ -29,9 +29,7 @@ independently of the kernel and serve as its cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .core import (
     AnonProfile,
@@ -39,6 +37,7 @@ from .core import (
     InvalidAlternative,
     InvalidAlternativeCount,
     Profile,
+    Value,
     VotingError,
     decoding,
     json_int,
@@ -64,39 +63,35 @@ def _as_fractions(values, m: int, name: str) -> tuple[Fraction, ...]:
     return vec
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Value):
     """Per-alternative weights alpha in [0,1]^m."""
 
-    m: int
-    alpha: tuple[Fraction, ...]
+    _fields = ("m", "alpha")
 
-    def __post_init__(self):
-        if self.m < 2:
-            raise InvalidAlternativeCount(f"need m >= 2, got {self.m}")
-        vec = _as_fractions(self.alpha, self.m, "alpha")
+    def __init__(self, m: int, alpha: tuple[Fraction, ...]):
+        if m < 2:
+            raise InvalidAlternativeCount(f"need m >= 2, got {m}")
+        vec = _as_fractions(alpha, m, "alpha")
         for a in vec:
             num, den = a.as_integer_ratio()
             if not 0 <= num <= den:
                 raise VotingError(f"weights must lie in [0, 1], got {a}")
-        object.__setattr__(self, "alpha", vec)
+        self.__dict__.update(m=m, alpha=vec)
 
     @classmethod
     def constant(cls, m: int, value) -> "WeightVector":
         return cls(m, (parse_rational(value),) * m)
 
 
-@dataclass(frozen=True)
-class ThresholdVector:
+class ThresholdVector(Value):
     """Non-increasing thresholds theta in (0,1)^m."""
 
-    m: int
-    theta: tuple[Fraction, ...]
+    _fields = ("m", "theta")
 
-    def __post_init__(self):
-        if self.m < 2:
-            raise InvalidAlternativeCount(f"need m >= 2, got {self.m}")
-        vec = _as_fractions(self.theta, self.m, "theta")
+    def __init__(self, m: int, theta: tuple[Fraction, ...]):
+        if m < 2:
+            raise InvalidAlternativeCount(f"need m >= 2, got {m}")
+        vec = _as_fractions(theta, m, "theta")
         ratios = [t.as_integer_ratio() for t in vec]
         for t, (num, den) in zip(vec, ratios):
             if not 0 < num < den:
@@ -104,7 +99,7 @@ class ThresholdVector:
         for (c, d), (c2, d2) in zip(ratios, ratios[1:]):
             if c * d2 < c2 * d:
                 raise VotingError("thresholds must be non-increasing")
-        object.__setattr__(self, "theta", vec)
+        self.__dict__.update(m=m, theta=vec)
 
     @classmethod
     def constant(cls, m: int, value) -> "ThresholdVector":
@@ -165,7 +160,7 @@ def collective_position(alpha: WeightVector, p: Profile | AnonProfile, k: int) -
 
 def check_compatible(
     alpha: WeightVector, theta: ThresholdVector
-) -> tuple[bool, Optional[int]]:
+) -> tuple[bool, int | None]:
     """Test whether the weight vector works with the threshold vector.
 
     Compatibility means that once some alternative's collective position
@@ -189,34 +184,37 @@ def check_compatible(
     return True, None
 
 
-@dataclass(frozen=True)
-class PositionThresholdRule:
-    m: int
-    theta: ThresholdVector
-    alpha: WeightVector
-    # whether `check_compatible` accepts the vectors
-    compatible: bool = field(init=False, compare=False)
-    # (A, B, C) = (a*d, (b - a)*d, c*b) with alpha_k = a/b and
-    # theta_k = c/d for k = 1..m-1: the integer form of every winner
-    # test, see `ptr_winner`
-    coeffs: tuple[tuple[int, int, int], ...] = field(
-        init=False, repr=False, compare=False
-    )
+class PositionThresholdRule(Value):
+    """The rule with thresholds `theta` and weights `alpha`.  Besides
+    them it keeps whether `check_compatible` accepts the vectors, as
+    `compatible`, and `coeffs`: (A, B, C) = (a*d, (b - a)*d, c*b) with
+    alpha_k = a/b and theta_k = c/d for k = 1..m-1, the integer form of
+    every winner test (see `ptr_winner`).  Both follow from the vectors,
+    so == compares m, theta and alpha alone, and repr leaves out
+    `coeffs`."""
 
-    def __post_init__(self):
-        if self.theta.m != self.m or self.alpha.m != self.m:
+    _fields = ("m", "theta", "alpha", "compatible")
+
+    def __init__(self, m: int, theta: ThresholdVector, alpha: WeightVector):
+        if theta.m != m or alpha.m != m:
             raise VotingError("vector lengths must match m")
-        ok, _ = check_compatible(self.alpha, self.theta)
-        object.__setattr__(self, "compatible", ok)
+        ok, _ = check_compatible(alpha, theta)
         coeffs = tuple(
             (
                 a.numerator * t.denominator,
                 (a.denominator - a.numerator) * t.denominator,
                 t.numerator * a.denominator,
             )
-            for a, t in zip(self.alpha.alpha[:-1], self.theta.theta)
+            for a, t in zip(alpha.alpha[:-1], theta.theta)
         )
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "compatible", ok)
         object.__setattr__(self, "coeffs", coeffs)
+
+    def _key(self) -> tuple:
+        return self.m, self.theta, self.alpha
 
     @classmethod
     def make(cls, alpha: WeightVector, theta: ThresholdVector) -> "PositionThresholdRule":
@@ -353,10 +351,11 @@ def endpoint_median_oracle(p: Profile) -> int:
     raise AssertionError("unreachable: cumulative endpoint count reaches 2n")
 
 
-@dataclass(frozen=True)
-class WeightedSingletonBallot:
-    alternative: int
-    weight: Fraction
+class WeightedSingletonBallot(Value):
+    _fields = ("alternative", "weight")
+
+    def __init__(self, alternative: int, weight: Fraction):
+        self.__dict__.update(alternative=alternative, weight=weight)
 
 
 def decompose_interval(

@@ -15,17 +15,17 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import partial
 from itertools import product, starmap
-from typing import Callable, Iterable, Iterator, Optional
 
 from .core import (
     AnonProfile,
     InvalidAlternativeCount,
     Profile,
     TooLarge,
+    Value,
     VotingError,
     anonymize,
     decoding,
@@ -80,16 +80,23 @@ class UnsupportedAxiom(VotingError):
     pass
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    n_max: int = 3
-    pair_budget: int = 5
-    lambda_max: int = 1000
+class SearchBounds(Value):
+    _fields = ("n_max", "pair_budget", "lambda_max")
+    # the defaults, which the command line also reads off the class
+    n_max = 3
+    pair_budget = 5
+    lambda_max = 1000
 
-    def __post_init__(self):
-        require_at_least("n_max", self.n_max, 1)
-        require_at_least("pair_budget", self.pair_budget, 2)
-        require_at_least("lambda_max", self.lambda_max, 0)
+    def __init__(
+        self,
+        n_max: int = n_max,
+        pair_budget: int = pair_budget,
+        lambda_max: int = lambda_max,
+    ):
+        require_at_least("n_max", n_max, 1)
+        require_at_least("pair_budget", pair_budget, 2)
+        require_at_least("lambda_max", lambda_max, 0)
+        self.__dict__.update(n_max=n_max, pair_budget=pair_budget, lambda_max=lambda_max)
 
 
 def enumeration_budget() -> int:
@@ -314,7 +321,7 @@ FIXTURES: dict[str, Callable[..., RuleFn]] = {
 FIXTURE_TAGS = tuple(FIXTURES)
 
 
-def fixture(tag: str, m: int, params: Optional[dict] = None) -> RuleFn:
+def fixture(tag: str, m: int, params: dict | None = None) -> RuleFn:
     """Fixture `tag` at m; VotingError for an unknown tag, a parameter key
     the fixture does not take, or a malformed parameter value."""
     if tag not in FIXTURES:
@@ -330,24 +337,22 @@ def fixture(tag: str, m: int, params: Optional[dict] = None) -> RuleFn:
 # falsification campaigns
 
 
-@dataclass
 class Campaign:
-    """One axiom's sweep.  `by_status` counts the checked instances by
-    result status, so a reader can tell real passes from vacuous ones.
-    For continuity, `lambdas` counts the satisfied instances by the
-    replication factor they needed (0 included); undetermined ones have
-    none and are left out."""
+    """One axiom's sweep, filled in as it runs.  `by_status` counts the
+    checked instances by result status, so a reader can tell real
+    passes from vacuous ones.  For continuity, `lambdas` counts the
+    satisfied instances by the replication factor they needed (0
+    included); undetermined ones have none and are left out."""
 
-    axiom: str
-    by_status: dict[str, int] = field(
-        default_factory=lambda: dict.fromkeys(
+    def __init__(self, axiom: str):
+        self.axiom = axiom
+        self.by_status: dict[str, int] = dict.fromkeys(
             (PASS, VACUOUS, SATISFIED, UNDETERMINED, VIOLATION), 0
         )
-    )
-    elapsed: float = 0.0
-    violation: Optional[Violation] = None
-    first_undetermined: Optional[dict] = None
-    lambdas: Optional[collections.Counter] = None
+        self.elapsed = 0.0
+        self.violation: Violation | None = None
+        self.first_undetermined: dict | None = None
+        self.lambdas: collections.Counter | None = None
 
     @property
     def checked(self) -> int:
@@ -538,7 +543,7 @@ def _blocs(m: int, *blocs: tuple[int, int, int]) -> Profile:
 
 def incompatibility_witness(
     alpha: WeightVector, theta: ThresholdVector
-) -> Optional[Violation]:
+) -> Violation | None:
     """A robustness violation of the threshold rule of an incompatible
     vector pair, in the shape `check_robustness` reports; None when the
     pair is compatible.
@@ -594,7 +599,7 @@ def _fraction_strictly_between(lo: Fraction, hi: Fraction) -> Fraction:
     )
 
 
-def theorem2_uniqueness_witness(rule: PositionThresholdRule) -> Optional[Violation]:
+def theorem2_uniqueness_witness(rule: PositionThresholdRule) -> Violation | None:
     """For any threshold rule other than the all-1/2 one, a violation of
     the majority criterion or of strong unanimity; None for the all-1/2
     rule.
@@ -664,7 +669,7 @@ def remark_scaled_triple() -> tuple[Profile, Profile, Profile]:
 
 def inconsistent_alternative(
     m: int, observations: Iterable[tuple[Profile, int]]
-) -> Optional[int]:
+) -> int | None:
     """The least k in 1..m-1 for which no (alpha_k, theta_k) in
     [0, 1] x (0, 1) passes every observed winner's test at x_k, or None.
 

@@ -1,11 +1,16 @@
 """Domain primitives: intervals, profiles, anonymization, rationals."""
 
+import copy
 import gc
 import importlib
 import itertools
+import os
+import pickle
+import subprocess
 import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -38,9 +43,24 @@ from intervalvote.core import (
     robust_step,
     TooLarge,
 )
-from intervalvote.axioms import RuleFn, check_anonymity, check_shift_symmetry
-from intervalvote.rules import endpoint_median_rule
+from intervalvote.axioms import (
+    PASS,
+    CheckResult,
+    RuleFn,
+    Violation,
+    check_anonymity,
+    check_shift_symmetry,
+)
+from intervalvote.preferences import WeakOrder
+from intervalvote.rules import (
+    PositionThresholdRule,
+    ThresholdVector,
+    WeightedSingletonBallot,
+    WeightVector,
+    endpoint_median_rule,
+)
 from intervalvote.search import (
+    Campaign,
     SearchBounds,
     _disjoint_pairs,
     _identified_profiles,
@@ -49,6 +69,8 @@ from intervalvote.search import (
     _voters,
     falsify,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=10**6
@@ -561,13 +583,16 @@ class TestTrustedDerivations:
     def test_campaign_validates_no_profile(self, monkeypatch):
         f = RuleFn.from_ptr(endpoint_median_rule(3))
         validated = []
-        original = Profile.__post_init__
+        original = Profile.__init__
 
-        def counting(self):
-            validated.append(self)
-            original(self)
+        def counting(self, *args):
+            validated.append(args)
+            original(self, *args)
 
-        monkeypatch.setattr(Profile, "__post_init__", counting)
+        monkeypatch.setattr(Profile, "__init__", counting)
+        Profile(3, {1: Interval(1, 2)})  # the hook sees a validated profile
+        assert validated == [(3, {1: Interval(1, 2)})]
+        validated.clear()
         campaign = falsify(f, "robustness", SearchBounds(n_max=2))
         assert campaign.checked == 6 + 21
         assert validated == []
@@ -595,3 +620,148 @@ def test_reimported_modules_are_released():
         for name in ours():
             del sys.modules[name]
         sys.modules.update(saved)
+
+
+HALF = Fraction(1, 2)
+ORDER = (frozenset({1}), frozenset({2}))
+
+# name: (a function that builds an instance, an unequal instance of the
+# same class, a field, the instance's repr, fields that == ignores with
+# other values)
+VALUES = {
+    "Interval": (
+        lambda: Interval(1, 2), Interval(1, 3), "right", "Interval(left=1, right=2)", {}
+    ),
+    "Profile": (
+        lambda: Profile(3, {1: Interval(1, 2)}),
+        Profile(3, {1: Interval(1, 3)}),
+        "voters",
+        "Profile(m=3, voters={1: Interval(left=1, right=2)})",
+        {"n": 7},
+    ),
+    "AnonProfile": (
+        lambda: AnonProfile(3, [1, 0, 0, 0, 0, 0]),  # a list, kept as a tuple
+        AnonProfile(3, (1, 0, 0, 0, 0, 1)),
+        "counts",
+        "AnonProfile(m=3, counts=(1, 0, 0, 0, 0, 0))",
+        {"n": 7},
+    ),
+    "WeightVector": (
+        lambda: WeightVector(2, ("1/2", HALF)),
+        WeightVector(2, (HALF, 1)),
+        "alpha",
+        "WeightVector(m=2, alpha=(Fraction(1, 2), Fraction(1, 2)))",
+        {},
+    ),
+    "ThresholdVector": (
+        lambda: ThresholdVector.constant(2, HALF),
+        ThresholdVector(2, ("2/3", HALF)),
+        "theta",
+        "ThresholdVector(m=2, theta=(Fraction(1, 2), Fraction(1, 2)))",
+        {},
+    ),
+    "PositionThresholdRule": (
+        lambda: endpoint_median_rule(2),
+        PositionThresholdRule(
+            2, ThresholdVector.constant(2, "2/3"), WeightVector.constant(2, HALF)
+        ),
+        "alpha",
+        "PositionThresholdRule(m=2, "
+        "theta=ThresholdVector(m=2, theta=(Fraction(1, 2), Fraction(1, 2))), "
+        "alpha=WeightVector(m=2, alpha=(Fraction(1, 2), Fraction(1, 2))), compatible=True)",
+        {"compatible": False, "coeffs": ()},
+    ),
+    "WeightedSingletonBallot": (
+        lambda: WeightedSingletonBallot(1, HALF),
+        WeightedSingletonBallot(2, HALF),
+        "weight",
+        "WeightedSingletonBallot(alternative=1, weight=Fraction(1, 2))",
+        {},
+    ),
+    "WeakOrder": (
+        lambda: WeakOrder(2, ORDER),
+        WeakOrder(2, ORDER[::-1]),
+        "levels",
+        "WeakOrder(m=2, levels=(frozenset({1}), frozenset({2})))",
+        {},
+    ),
+    "Violation": (
+        lambda: Violation("unanimity", {"profile": 1}, 2, 1),
+        Violation("unanimity", {"profile": 1}, 2, 2),
+        "observed",
+        "Violation(axiom='unanimity', witness={'profile': 1}, observed=2, required=1)",
+        {},
+    ),
+    "CheckResult": (
+        lambda: CheckResult("pass"),
+        CheckResult("vacuous"),
+        "status",
+        "CheckResult(status='pass', violations=(), detail={})",
+        {},
+    ),
+    "SearchBounds": (
+        lambda: SearchBounds(),
+        SearchBounds(n_max=2),
+        "n_max",
+        "SearchBounds(n_max=3, pair_budget=5, lambda_max=1000)",
+        {},
+    ),
+}
+UNHASHABLE = {"Profile", "Violation", "CheckResult"}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_semantics(name):
+    """Every value class compares, hashes and shows its fields as a
+    frozen dataclass would, and refuses assignment."""
+    make, unequal, field, text, uncompared = VALUES[name]
+    value = make()
+    assert value == make() and not value != make()
+    assert value != unequal
+    for other, *_ in (case for key, case in VALUES.items() if key != name):
+        assert value != other()
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(make())
+        assert len({value, make(), unequal}) == 2
+    assert repr(value) == text
+    assert copy.deepcopy(value) == value == pickle.loads(pickle.dumps(value))
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(unequal, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert value == make()
+    for attr, other in uncompared.items():
+        object.__setattr__(value, attr, other)
+    assert value == make()
+    if name not in UNHASHABLE:
+        assert hash(value) == hash(make())
+
+
+def test_value_defaults_are_kept():
+    # the command line reads the bounds' defaults off the class
+    assert (SearchBounds.n_max, SearchBounds.pair_budget, SearchBounds.lambda_max) == (3, 5, 1000)
+    first, second = CheckResult("pass"), CheckResult("pass")
+    assert first.detail == {} and first.detail is not second.detail
+    one, two = Campaign("robustness"), Campaign("robustness")
+    one.by_status[PASS] += 1
+    one.elapsed = 1.5  # a campaign is filled in as it runs
+    assert (one.checked, two.checked, one.elapsed) == (1, 0, 1.5)
+
+
+def test_import_generates_no_code():
+    """Importing the package and its command line loads none of
+    `dataclasses`, `inspect` and `typing`; -S keeps out the site
+    packages, some of which import `typing` themselves."""
+    code = (
+        "import sys, intervalvote.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
