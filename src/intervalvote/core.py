@@ -233,6 +233,12 @@ class Profile(Value):
     # never mutated; a class default rather than a field, so building a
     # profile costs nothing and == and repr ignore it
     _histogram = None
+    # (L, R): the running sums of `_histogram`'s lefts and rights, so that
+    # L[k] voters have their left endpoint at or before x_k; stored by
+    # `rules.ptr_winner` at a first evaluation when m > `rules.SCAN_MAX_M`
+    # and never mutated.  No derived profile inherits them: its first
+    # evaluation builds its own from the counts it was given
+    _sums = None
     # (fn, winner), stored by `axioms._validated` once it has validated
     # the winner of the black box fn; like `_histogram`, and no derived
     # profile inherits it
@@ -336,8 +342,10 @@ class AnonProfile(Value):
     """Anonymized profile: count per canonical interval."""
 
     _fields = ("m", "counts")
-    # the endpoint counts and the black-box winner, as for `Profile`
+    # the endpoint counts, their running sums and the black-box winner,
+    # as for `Profile`
     _histogram = None
+    _sums = None
     _winner = None
 
     def __init__(self, m: int, counts: tuple[int, ...]):

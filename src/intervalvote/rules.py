@@ -18,10 +18,17 @@ Pi_alpha(x_k) = R_k + alpha_k * (L_k - R_k).  Writing alpha_k = a/b and
 theta_k = c/d with b, d > 0, the winner test Pi_alpha(x_k) >= theta_k * n
 holds exactly when the integer comparison A_k * L_k + B_k * R_k >= C_k * n
 does, with A = a*d, B = (b - a)*d and C = c*b fixed per rule.
-`ptr_winner` keeps L and R as it goes and stops at the first test that
-holds.  A winner costs at most one pass over the voters (over the
-nonzero counts of an anonymized profile) and at most m - 1 integer
-comparisons, with no floats.
+A winner costs at most one pass over the voters (over the nonzero
+counts of an anonymized profile) and the integer comparisons below, with
+no floats.  Up to m = SCAN_MAX_M, `ptr_winner` scans the tests in order,
+keeps L and R as it goes and stops at the first test that holds, after
+at most m - 1 comparisons.  Above it, the profile also keeps the
+running sums L_0..L_m and R_0..R_m, built once from its counts.  A
+compatible rule bisects its tests on them in at most ceil(log2 m)
+comparisons: compatibility means that once a test holds, every test to
+its right holds too, so the tests that hold are an up-set of 1..m-1
+and the winner is its least element, or m when it is empty.  An
+incompatible rule scans the sums in order.
 `individual_position`, the endpoint-median oracle, the singleton
 decomposition and the phantom-median rule compute the same quantities
 independently of the kernel and serve as its cross-checks.
@@ -30,6 +37,7 @@ independently of the kernel and serve as its cross-checks.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from .core import (
     AnonProfile,
@@ -46,6 +54,9 @@ from .core import (
 )
 
 ONE_HALF = Fraction(1, 2)
+# the largest m whose winner tests `ptr_winner` scans in order; above it
+# a compatible rule bisects them (the crossover measured in CHANGES.md)
+SCAN_MAX_M = 8
 
 
 class IncompatibleRule(VotingError):
@@ -278,23 +289,52 @@ def ptr_winner(rule: PositionThresholdRule, p: Profile | AnonProfile) -> int:
     """Smallest index whose collective position meets its scaled threshold.
     A profile's first evaluation counts its endpoints with
     `endpoint_histogram` and keeps the counts on the profile; every later
-    evaluation, under any rule, reads them and calls no helper."""
+    evaluation, under any rule, reads them and calls no helper.  Above
+    m = SCAN_MAX_M the profile also keeps the running sums of its counts,
+    and a compatible rule bisects its tests on them."""
     m = rule.m
     if m != p.m:
         raise VotingError(f"m mismatch: rule {m} vs profile {p.m}")
     counts = p._histogram
     if counts is None:
         counts = p.__dict__["_histogram"] = endpoint_histogram(p)
-    lefts, rights = counts
     n = p.n
-    L = R = k = 0
-    for A, B, C in rule.coeffs:
+    if m <= SCAN_MAX_M:
+        lefts, rights = counts
+        L = R = k = 0
+        for A, B, C in rule.coeffs:
+            k += 1
+            L += lefts[k]
+            R += rights[k]
+            if A * L + B * R >= C * n:
+                return k
+        # x_m wins when no earlier test holds: Pi(., x_m) = n > theta_m * n
+        return m
+    sums = p._sums
+    if sums is None:
+        sums = p.__dict__["_sums"] = (
+            list(accumulate(counts[0])),
+            list(accumulate(counts[1])),
+        )
+    Ls, Rs = sums
+    coeffs = rule.coeffs
+    if rule.compatible:
+        # compatibility makes the tests that hold an up-set of 1..m-1;
+        # its least k is lo + 1 once lo = hi, and k = m if it is empty
+        lo, hi = 0, m - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            A, B, C = coeffs[mid]
+            if A * Ls[mid + 1] + B * Rs[mid + 1] >= C * n:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo + 1
+    k = 0
+    for A, B, C in coeffs:
         k += 1
-        L += lefts[k]
-        R += rights[k]
-        if A * L + B * R >= C * n:
+        if A * Ls[k] + B * Rs[k] >= C * n:
             return k
-    # x_m wins when no earlier test holds: Pi(., x_m) = n > theta_m * n
     return m
 
 

@@ -7,6 +7,7 @@ rule.
 """
 
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -31,6 +32,7 @@ from intervalvote.core import (
 )
 from intervalvote.rules import (
     ONE_HALF,
+    SCAN_MAX_M,
     PositionThresholdRule,
     ThresholdVector,
     WeightVector,
@@ -102,6 +104,73 @@ def cases(draw, ties=False):
     return PositionThresholdRule.make_unchecked(alpha, theta), p
 
 
+# m above the scan: `ptr_winner` keeps running sums and bisects a
+# compatible rule's tests on them.  Vectors at this m are drawn in
+# twelfths, a list at a time, which Hypothesis draws much faster.
+WIDE_M = st.integers(SCAN_MAX_M + 1, 60)
+
+
+def twelfths(draw, m, lo=0, hi=12) -> list[Fraction]:
+    return [Fraction(j, 12) for j in draw(st.lists(st.integers(lo, hi), min_size=m, max_size=m))]
+
+
+@st.composite
+def compatible_rules(draw, m):
+    """Compatible by construction: non-increasing thresholds, and each
+    alpha_{k+1} a twelfth at or above the least value `check_compatible`
+    allows after alpha_k, so alpha may descend where theta does."""
+    theta = ThresholdVector(m, tuple(sorted(twelfths(draw, m, 1, 11), reverse=True)))
+    alpha = [Fraction(draw(st.integers(0, 12)), 12)]
+    for t, t2, u in zip(theta.theta, theta.theta[1:], twelfths(draw, m - 1)):
+        a = alpha[-1]
+        least = max(0, a + (t2 - t) * max(a / t, (1 - a) / (1 - t)))
+        # u in [0, 1] places alpha_{k+1} between the least value and 1
+        alpha.append(Fraction(math.ceil((least + u * (1 - least)) * 12), 12))
+    rule = PositionThresholdRule.make_unchecked(WeightVector(m, tuple(alpha)), theta)
+    assume(rule.compatible)
+    return rule
+
+
+@st.composite
+def incompatible_rules(draw, m):
+    rule = PositionThresholdRule.make_unchecked(
+        WeightVector(m, tuple(twelfths(draw, m))),
+        ThresholdVector(m, tuple(sorted(twelfths(draw, m, 1, 11), reverse=True))),
+    )
+    assume(not rule.compatible)
+    return rule
+
+
+@st.composite
+def boundary_ties(draw, m):
+    """(rule, profile): a compatible rule whose winner's test holds with
+    equality.  With non-decreasing alpha every position is at least the
+    one left of it, so theta = Pi(x_k) / n ties at the least k that
+    reaches Pi(x_k), and that k wins."""
+    alpha = WeightVector(m, tuple(sorted(twelfths(draw, m))))
+    p = draw(profiles(m, n_max=20))
+    share = naive_position(alpha, p, draw(st.integers(1, m - 1))) / p.n
+    assume(0 < share < 1)
+    return PositionThresholdRule.make(alpha, ThresholdVector.constant(m, share)), p
+
+
+@st.composite
+def wide_cases(draw):
+    """(rule, profile) with m above the scan: a compatible, an
+    incompatible or a boundary-tie rule."""
+    m = draw(WIDE_M)
+    kind = draw(st.sampled_from(["compatible", "incompatible", "tie"]))
+    if kind == "tie":
+        return draw(boundary_ties(m))
+    rules_of = compatible_rules if kind == "compatible" else incompatible_rules
+    return draw(rules_of(m)), draw(profiles(m, n_max=20))
+
+
+def running(counts) -> tuple[list[int], list[int]]:
+    """The running sums of endpoint counts, as the kernel keeps them."""
+    return tuple(list(itertools.accumulate(side)) for side in counts)
+
+
 class TestKernelAgainstDefinition:
     @settings(max_examples=200)
     @given(cases())
@@ -154,6 +223,52 @@ class TestKernelAgainstDefinition:
         rule = PositionThresholdRule.make_unchecked(data.draw(weights(m)), theta)
         expected = phantom_median_winner(theta, p)
         assert rule.winner(p) == rule.winner(anonymize(p)) == expected
+
+
+class TestKernelAboveTheScan:
+    """Above m = SCAN_MAX_M a profile also keeps the running sums of its
+    endpoint counts; a compatible rule bisects its tests on them and an
+    incompatible one scans them in order."""
+
+    @settings(max_examples=150)
+    @given(wide_cases())
+    # a tie at x_1 between two voters at x_1 and x_9: the x_1 test holds
+    # with equality, and so does every test up to x_8
+    @example((endpoint_median_rule(9), Profile(9, {1: Interval(1, 1), 2: Interval(9, 9)})))
+    # an incompatible rule whose x_2 test holds and whose x_5, x_7 and x_8
+    # tests fail: a bisection would elect x_9
+    @example(
+        (
+            PositionThresholdRule.make_unchecked(
+                WeightVector(9, (0, 1, 0, 0, 0, 0, 0, 0, 1)),
+                ThresholdVector.constant(9, ONE_HALF),
+            ),
+            Profile(9, {1: Interval(1, 9)}),
+        )
+    )
+    def test_fresh_and_kept_winners_match_naive_sum(self, case):
+        rule, p = case
+        expected = naive_winner(rule.alpha, rule.theta, p)
+        for q in (fresh(p), anonymize(p)):
+            assert q._sums is None
+            assert ptr_winner(rule, q) == expected  # counts, then sums
+            assert q._sums == running(tally(p))
+            assert ptr_winner(rule, q) == expected  # reads the kept sums
+
+    @settings(max_examples=200)
+    @given(st.data(), st.one_of(st.integers(2, 6), WIDE_M))
+    def test_compatible_tests_that_hold_form_an_up_set(self, data, m):
+        """The fact the bisection rests on, from the per-voter definition:
+        once a compatible rule's test holds, every test right of it holds."""
+        if data.draw(st.booleans()):
+            rule, p = data.draw(boundary_ties(m))
+        else:
+            rule, p = data.draw(compatible_rules(m)), data.draw(profiles(m, n_max=20))
+        held = [
+            naive_position(rule.alpha, p, k) >= rule.theta.theta[k - 1] * p.n
+            for k in range(1, m)
+        ]
+        assert held == sorted(held)
 
 
 @st.composite
@@ -459,7 +574,7 @@ def derive(rule, p: Profile, step) -> Profile:
 def derivation_chains(draw):
     """(rule, profile, steps): up to five one-voter derivations or
     anonymity renamings, each applied to the profile before it."""
-    rule, p = draw(cases())
+    rule, p = draw(st.one_of(cases(), wide_cases()))
     steps = draw(
         st.lists(
             st.tuples(
@@ -499,27 +614,39 @@ class TestKeptEndpointCounts:
 
     @settings(max_examples=150)
     @given(derivation_chains())
+    # moving a voter from x_9 to x_1 moves the endpoint median to x_1
+    @example(
+        (
+            endpoint_median_rule(9),
+            Profile(9, {1: Interval(1, 1), 2: Interval(9, 9), 3: Interval(9, 9)}),
+            [("with_interval", 2, Interval(1, 1), "left", 0)],
+        )
+    )
     def test_derivations_of_evaluated_profiles_are_exact(self, chain):
         rule, p, steps = chain
         ptr_winner(rule, p)
+        kept_sums = rule.m > SCAN_MAX_M
         for step in steps:
             q = derive(rule, p, step)
             # the same derivation of a never evaluated copy of the parent
             cold = derive(rule, fresh(p), step)
             assert cold.voters == q.voters
             assert q._histogram is not None  # inherited: the cache-hit path
+            # running sums, when a derived profile holds them, are its own
+            assert q._sums is None or q._sums == running(tally(q))
             expected = naive_winner(rule.alpha, rule.theta, q)
             assert ptr_winner(rule, q) == ptr_winner(rule, cold) == expected
             assert ptr_winner(rule, fresh(q)) == expected
             assert q._histogram == tally(q)
             assert cold._histogram == tally(q)
+            assert q._sums == (running(tally(q)) if kept_sums else None)
             anon = anonymize(q)
             assert ptr_winner(rule, anon) == ptr_winner(rule, anon) == expected
             assert anon._histogram == tally(q)
             p = q
 
     @settings(max_examples=50)
-    @given(cases())
+    @given(st.one_of(cases(), wide_cases()))
     def test_corrupted_counts_move_only_the_kernel(self, case):
         rule, p = case
         m = rule.m
@@ -543,7 +670,11 @@ class TestKeptEndpointCounts:
             end = 1 if w == m else m
             lefts, rights = [0] * (m + 1), [0] * (m + 1)
             lefts[end] = rights[end] = q.n
-            q.__dict__["_histogram"] = lefts, rights
+            if m > SCAN_MAX_M:
+                # the kernel counts q's endpoints, then reads these sums
+                q.__dict__["_sums"] = running((lefts, rights))
+            else:
+                q.__dict__["_histogram"] = lefts, rights
             assert ptr_winner(r, q) == end != w
         assert oracles() == before
 
@@ -568,14 +699,20 @@ def test_identified_evaluation_counts_once_then_runs_one_python_frame():
     """A threshold rule's evaluation is the kernel's frame alone, since
     `RuleFn.from_ptr` binds `ptr_winner` itself; the profile's first
     evaluation adds one `endpoint_histogram` call below it, and every
-    later one runs no Python-level helper."""
-    f = RuleFn.from_ptr(endpoint_median_rule(4))
-    p = Profile(4, {1: Interval(1, 2), 2: Interval(2, 4), 3: Interval(3, 3)})
+    later one runs no Python-level helper.  Above m = SCAN_MAX_M the
+    kernel builds the running sums in C, so a one-voter derivation of an
+    evaluated profile, which has its counts but no sums, runs the
+    kernel's frame alone too."""
     kernel = [rules.ptr_winner.__code__]
     counting = kernel + [rules.endpoint_histogram.__code__]
-    # the first evaluation counts the endpoints, the later ones read them
-    for expected in (counting, kernel, kernel):
-        assert traced(f, p) == (2, expected)
+    for m in (4, SCAN_MAX_M + 1, 50):
+        f = RuleFn.from_ptr(endpoint_median_rule(m))
+        p = Profile(m, {1: Interval(1, 2), 2: Interval(2, m), 3: Interval(3, 3)})
+        # the first evaluation counts the endpoints, the later ones read them
+        for expected in (counting, kernel, kernel):
+            assert traced(f, p) == (2, expected)
+        derived = p.with_interval(3, Interval(3, 4))
+        assert traced(f, derived) == (2, kernel)
 
 
 def test_black_box_evaluation_runs_the_validation_and_the_rule():
