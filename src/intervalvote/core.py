@@ -234,10 +234,12 @@ class Profile(Value):
     # profile costs nothing and == and repr ignore it
     _histogram = None
     # (L, R): the running sums of `_histogram`'s lefts and rights, so that
-    # L[k] voters have their left endpoint at or before x_k; stored by
-    # `rules.ptr_winner` at a first evaluation when m > `rules.SCAN_MAX_M`
-    # and never mutated.  No derived profile inherits them: its first
-    # evaluation builds its own from the counts it was given
+    # L[k] voters have their left endpoint at or before x_k.  When
+    # m > `rules.SCAN_MAX_M`, `rules.ptr_winner` stores False and True at
+    # a compatible rule's first and second evaluation of the profile and
+    # the sums at its third, and never mutates the sums.  No derived
+    # profile inherits the slot: it starts from None with the counts it
+    # was given
     _sums = None
     # (fn, winner), stored by `axioms._validated` once it has validated
     # the winner of the black box fn; like `_histogram`, and no derived

@@ -20,15 +20,18 @@ holds exactly when the integer comparison A_k * L_k + B_k * R_k >= C_k * n
 does, with A = a*d, B = (b - a)*d and C = c*b fixed per rule.
 A winner costs at most one pass over the voters (over the nonzero
 counts of an anonymized profile) and the integer comparisons below, with
-no floats.  Up to m = SCAN_MAX_M, `ptr_winner` scans the tests in order,
-keeps L and R as it goes and stops at the first test that holds, after
-at most m - 1 comparisons.  Above it, the profile also keeps the
-running sums L_0..L_m and R_0..R_m, built once from its counts.  A
-compatible rule bisects its tests on them in at most ceil(log2 m)
+no floats.  `ptr_winner` scans the tests in order, keeps L and R as it
+goes and stops at the first test that holds, after at most m - 1
+comparisons.  Above m = SCAN_MAX_M, a compatible rule's third
+evaluation of the same profile object builds the running sums L_0..L_m
+and R_0..R_m from the counts and keeps them on the profile, and it and
+every later one bisect the tests on them in at most ceil(log2 m)
 comparisons: compatibility means that once a test holds, every test to
 its right holds too, so the tests that hold are an up-set of 1..m-1
-and the winner is its least element, or m when it is empty.  An
-incompatible rule scans the sums in order.
+and the winner is its least element, or m when it is empty.  Building
+the sums costs about one scan, so a profile evaluated once or twice,
+as campaigns evaluate most of theirs, never pays for them.  An
+incompatible rule always scans.
 `individual_position`, the endpoint-median oracle, the singleton
 decomposition and the phantom-median rule compute the same quantities
 independently of the kernel and serve as its cross-checks.
@@ -54,9 +57,10 @@ from .core import (
 )
 
 ONE_HALF = Fraction(1, 2)
-# the largest m whose winner tests `ptr_winner` scans in order; above it
-# a compatible rule bisects them (the crossover measured in CHANGES.md)
-SCAN_MAX_M = 8
+# the largest m at which `ptr_winner` always scans; above it a compatible
+# rule bisects its tests on a profile evaluated a third time (the
+# crossover measured in CHANGES.md)
+SCAN_MAX_M = 16
 
 
 class IncompatibleRule(VotingError):
@@ -290,8 +294,9 @@ def ptr_winner(rule: PositionThresholdRule, p: Profile | AnonProfile) -> int:
     A profile's first evaluation counts its endpoints with
     `endpoint_histogram` and keeps the counts on the profile; every later
     evaluation, under any rule, reads them and calls no helper.  Above
-    m = SCAN_MAX_M the profile also keeps the running sums of its counts,
-    and a compatible rule bisects its tests on them."""
+    m = SCAN_MAX_M, a compatible rule's third evaluation of a profile
+    object keeps the running sums of its counts, and that evaluation and
+    every later one bisect the tests on them."""
     m = rule.m
     if m != p.m:
         raise VotingError(f"m mismatch: rule {m} vs profile {p.m}")
@@ -299,42 +304,45 @@ def ptr_winner(rule: PositionThresholdRule, p: Profile | AnonProfile) -> int:
     if counts is None:
         counts = p.__dict__["_histogram"] = endpoint_histogram(p)
     n = p.n
-    if m <= SCAN_MAX_M:
-        lefts, rights = counts
-        L = R = k = 0
-        for A, B, C in rule.coeffs:
-            k += 1
-            L += lefts[k]
-            R += rights[k]
-            if A * L + B * R >= C * n:
-                return k
-        # x_m wins when no earlier test holds: Pi(., x_m) = n > theta_m * n
-        return m
-    sums = p._sums
-    if sums is None:
-        sums = p.__dict__["_sums"] = (
-            list(accumulate(counts[0])),
-            list(accumulate(counts[1])),
-        )
-    Ls, Rs = sums
-    coeffs = rule.coeffs
-    if rule.compatible:
-        # compatibility makes the tests that hold an up-set of 1..m-1;
-        # its least k is lo + 1 once lo = hi, and k = m if it is empty
-        lo, hi = 0, m - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            A, B, C = coeffs[mid]
-            if A * Ls[mid + 1] + B * Rs[mid + 1] >= C * n:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo + 1
-    k = 0
-    for A, B, C in coeffs:
+    if m > SCAN_MAX_M and rule.compatible:
+        # the slot holds None, False after a first evaluation, True after
+        # a second, and the running sums from the third on: building
+        # them costs about a scan, so a profile evaluated once or twice
+        # never pays for them
+        sums = p._sums
+        if sums is None:
+            p.__dict__["_sums"] = False
+        elif sums is False:
+            p.__dict__["_sums"] = True
+        else:
+            if sums is True:
+                sums = p.__dict__["_sums"] = (
+                    list(accumulate(counts[0])),
+                    list(accumulate(counts[1])),
+                )
+            Ls, Rs = sums
+            coeffs = rule.coeffs
+            # compatibility makes the tests that hold an up-set of
+            # 1..m-1; its least k is lo + 1 once lo = hi, and k = m if it
+            # is empty
+            lo, hi = 0, m - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                A, B, C = coeffs[mid]
+                if A * Ls[mid + 1] + B * Rs[mid + 1] >= C * n:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return lo + 1
+    lefts, rights = counts
+    L = R = k = 0
+    for A, B, C in rule.coeffs:
         k += 1
-        if A * Ls[k] + B * Rs[k] >= C * n:
+        L += lefts[k]
+        R += rights[k]
+        if A * L + B * R >= C * n:
             return k
+    # x_m wins when no earlier test holds: Pi(., x_m) = n > theta_m * n
     return m
 
 

@@ -104,9 +104,10 @@ def cases(draw, ties=False):
     return PositionThresholdRule.make_unchecked(alpha, theta), p
 
 
-# m above the scan: `ptr_winner` keeps running sums and bisects a
-# compatible rule's tests on them.  Vectors at this m are drawn in
-# twelfths, a list at a time, which Hypothesis draws much faster.
+# m above the scan: from a profile's third evaluation on, `ptr_winner`
+# keeps running sums and bisects a compatible rule's tests on them.
+# Vectors at this m are drawn in twelfths, a list at a time, which
+# Hypothesis draws much faster.
 WIDE_M = st.integers(SCAN_MAX_M + 1, 60)
 
 
@@ -155,11 +156,11 @@ def boundary_ties(draw, m):
 
 
 @st.composite
-def wide_cases(draw):
+def wide_cases(draw, kinds=("compatible", "incompatible", "tie")):
     """(rule, profile) with m above the scan: a compatible, an
-    incompatible or a boundary-tie rule."""
+    incompatible or a boundary-tie rule, of the kinds named."""
     m = draw(WIDE_M)
-    kind = draw(st.sampled_from(["compatible", "incompatible", "tie"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "tie":
         return draw(boundary_ties(m))
     rules_of = compatible_rules if kind == "compatible" else incompatible_rules
@@ -226,34 +227,42 @@ class TestKernelAgainstDefinition:
 
 
 class TestKernelAboveTheScan:
-    """Above m = SCAN_MAX_M a profile also keeps the running sums of its
-    endpoint counts; a compatible rule bisects its tests on them and an
-    incompatible one scans them in order."""
+    """Above m = SCAN_MAX_M a compatible rule's first and second
+    evaluations of a profile object scan and mark it, its third
+    keeps the running sums of the profile's endpoint counts, and that one
+    and every later one bisect the tests on them.  An incompatible rule
+    always scans."""
 
     @settings(max_examples=150)
     @given(wide_cases())
-    # a tie at x_1 between two voters at x_1 and x_9: the x_1 test holds
-    # with equality, and so does every test up to x_8
-    @example((endpoint_median_rule(9), Profile(9, {1: Interval(1, 1), 2: Interval(9, 9)})))
-    # an incompatible rule whose x_2 test holds and whose x_5, x_7 and x_8
-    # tests fail: a bisection would elect x_9
+    # a tie at x_1 between two voters at x_1 and x_17: the x_1 test
+    # holds with equality, and so does every test up to x_16
+    @example((endpoint_median_rule(17), Profile(17, {1: Interval(1, 1), 2: Interval(17, 17)})))
+    # an incompatible rule whose x_2 test holds and whose x_9, x_13, x_15
+    # and x_16 tests fail: a bisection would elect x_17
     @example(
         (
             PositionThresholdRule.make_unchecked(
-                WeightVector(9, (0, 1, 0, 0, 0, 0, 0, 0, 1)),
-                ThresholdVector.constant(9, ONE_HALF),
+                WeightVector(17, (0, 1) + (0,) * 14 + (1,)),
+                ThresholdVector.constant(17, ONE_HALF),
             ),
-            Profile(9, {1: Interval(1, 9)}),
+            Profile(17, {1: Interval(1, 17)}),
         )
     )
     def test_fresh_and_kept_winners_match_naive_sum(self, case):
         rule, p = case
         expected = naive_winner(rule.alpha, rule.theta, p)
+        sums = running(tally(p)) if rule.compatible else None
         for q in (fresh(p), anonymize(p)):
             assert q._sums is None
-            assert ptr_winner(rule, q) == expected  # counts, then sums
-            assert q._sums == running(tally(p))
+            assert ptr_winner(rule, q) == expected  # counts and scans
+            assert q._sums is (False if rule.compatible else None)
+            assert ptr_winner(rule, q) == expected  # scans again
+            assert q._sums is (True if rule.compatible else None)
+            assert ptr_winner(rule, q) == expected  # builds the sums
+            assert q._sums == sums
             assert ptr_winner(rule, q) == expected  # reads the kept sums
+            assert q._sums == sums
 
     @settings(max_examples=200)
     @given(st.data(), st.one_of(st.integers(2, 6), WIDE_M))
@@ -571,10 +580,11 @@ def derive(rule, p: Profile, step) -> Profile:
 
 
 @st.composite
-def derivation_chains(draw):
-    """(rule, profile, steps): up to five one-voter derivations or
-    anonymity renamings, each applied to the profile before it."""
-    rule, p = draw(st.one_of(cases(), wide_cases()))
+def derivation_chains(draw, base):
+    """(rule, profile, steps): a (rule, profile) drawn from `base`, and up
+    to five one-voter derivations or anonymity renamings, each applied to
+    the profile before it."""
+    rule, p = draw(base)
     steps = draw(
         st.lists(
             st.tuples(
@@ -612,41 +622,54 @@ class TestKeptEndpointCounts:
     evaluation, and a one-voter derivation or an anonymity renaming of an
     evaluated profile starts from them.  That path must be exact."""
 
-    @settings(max_examples=150)
-    @given(derivation_chains())
-    # moving a voter from x_9 to x_1 moves the endpoint median to x_1
-    @example(
-        (
-            endpoint_median_rule(9),
-            Profile(9, {1: Interval(1, 1), 2: Interval(9, 9), 3: Interval(9, 9)}),
-            [("with_interval", 2, Interval(1, 1), "left", 0)],
-        )
-    )
-    def test_derivations_of_evaluated_profiles_are_exact(self, chain):
-        rule, p, steps = chain
-        ptr_winner(rule, p)
-        kept_sums = rule.m > SCAN_MAX_M
+    def check_derivations(self, rule, p, steps):
+        # evaluated three times, so that above SCAN_MAX_M a compatible
+        # rule leaves the profile its running sums
+        for _ in range(3):
+            ptr_winner(rule, p)
+        bisects = rule.m > SCAN_MAX_M and rule.compatible
         for step in steps:
             q = derive(rule, p, step)
             # the same derivation of a never evaluated copy of the parent
             cold = derive(rule, fresh(p), step)
             assert cold.voters == q.voters
             assert q._histogram is not None  # inherited: the cache-hit path
-            # running sums, when a derived profile holds them, are its own
-            assert q._sums is None or q._sums == running(tally(q))
+            # no running sums are inherited; a renaming that anonymity
+            # evaluated holds at most the mark of that evaluation
+            assert q._sums is None or q._sums is False
             expected = naive_winner(rule.alpha, rule.theta, q)
             assert ptr_winner(rule, q) == ptr_winner(rule, cold) == expected
             assert ptr_winner(rule, fresh(q)) == expected
             assert q._histogram == tally(q)
             assert cold._histogram == tally(q)
-            assert q._sums == (running(tally(q)) if kept_sums else None)
+            # by the third evaluation q bisects on sums of its own counts
+            assert ptr_winner(rule, q) == ptr_winner(rule, q) == expected
+            assert q._sums == (running(tally(q)) if bisects else None)
             anon = anonymize(q)
             assert ptr_winner(rule, anon) == ptr_winner(rule, anon) == expected
             assert anon._histogram == tally(q)
             p = q
 
+    @settings(max_examples=150)
+    @given(derivation_chains(cases()))
+    def test_derivations_of_evaluated_profiles_are_exact(self, chain):
+        self.check_derivations(*chain)
+
+    @settings(max_examples=100)
+    @given(derivation_chains(wide_cases()))
+    # moving a voter from x_17 to x_1 moves the endpoint median to x_1
+    @example(
+        (
+            endpoint_median_rule(17),
+            Profile(17, {1: Interval(1, 1), 2: Interval(17, 17), 3: Interval(17, 17)}),
+            [("with_interval", 2, Interval(1, 1), "left", 0)],
+        )
+    )
+    def test_derivations_above_the_scan_are_exact(self, chain):
+        self.check_derivations(*chain)
+
     @settings(max_examples=50)
-    @given(st.one_of(cases(), wide_cases()))
+    @given(cases())
     def test_corrupted_counts_move_only_the_kernel(self, case):
         rule, p = case
         m = rule.m
@@ -670,12 +693,40 @@ class TestKeptEndpointCounts:
             end = 1 if w == m else m
             lefts, rights = [0] * (m + 1), [0] * (m + 1)
             lefts[end] = rights[end] = q.n
-            if m > SCAN_MAX_M:
-                # the kernel counts q's endpoints, then reads these sums
-                q.__dict__["_sums"] = running((lefts, rights))
-            else:
-                q.__dict__["_histogram"] = lefts, rights
+            q.__dict__["_histogram"] = lefts, rights
             assert ptr_winner(r, q) == end != w
+        assert oracles() == before
+
+    @settings(max_examples=50)
+    @given(wide_cases(kinds=("compatible", "tie")))
+    def test_corrupted_sums_move_only_the_kernel(self, case):
+        """Above SCAN_MAX_M a compatible rule reads the kept running sums
+        and not the counts; no oracle reads either."""
+        rule, p = case
+        m = rule.m
+        singles = Profile(m, {v: Interval(iv.left, iv.left) for v, iv in p.voters.items()})
+        half = endpoint_median_rule(m)
+
+        def oracles():
+            return (
+                endpoint_median_oracle(p),
+                [collective_position_decomposed(rule.alpha, p, k) for k in range(1, m + 1)],
+                phantom_median_winner(rule.theta, singles),
+                endpoint_histogram(p),
+                search._profile_dependent_alpha_winner(p),
+            )
+
+        before = oracles()
+        for q, r in ((p, rule), (p, half), (singles, rule)):
+            w = ptr_winner(r, fresh(q))
+            # as above: all endpoints at x_m fail every test below x_m,
+            # all at x_1 meet the x_1 test; the counts stay q's own
+            end = 1 if w == m else m
+            lefts, rights = [0] * (m + 1), [0] * (m + 1)
+            lefts[end] = rights[end] = q.n
+            q.__dict__["_sums"] = running((lefts, rights))
+            assert ptr_winner(r, q) == end != w
+            assert q._histogram in (None, tally(q))
         assert oracles() == before
 
 
@@ -700,16 +751,16 @@ def test_identified_evaluation_counts_once_then_runs_one_python_frame():
     `RuleFn.from_ptr` binds `ptr_winner` itself; the profile's first
     evaluation adds one `endpoint_histogram` call below it, and every
     later one runs no Python-level helper.  Above m = SCAN_MAX_M the
-    kernel builds the running sums in C, so a one-voter derivation of an
-    evaluated profile, which has its counts but no sums, runs the
-    kernel's frame alone too."""
+    kernel builds the running sums in C at the third evaluation, and a
+    one-voter derivation of an evaluated profile, which has its counts,
+    runs the kernel's frame alone too."""
     kernel = [rules.ptr_winner.__code__]
     counting = kernel + [rules.endpoint_histogram.__code__]
     for m in (4, SCAN_MAX_M + 1, 50):
         f = RuleFn.from_ptr(endpoint_median_rule(m))
         p = Profile(m, {1: Interval(1, 2), 2: Interval(2, m), 3: Interval(3, 3)})
         # the first evaluation counts the endpoints, the later ones read them
-        for expected in (counting, kernel, kernel):
+        for expected in (counting, kernel, kernel, kernel):
             assert traced(f, p) == (2, expected)
         derived = p.with_interval(3, Interval(3, 4))
         assert traced(f, derived) == (2, kernel)
